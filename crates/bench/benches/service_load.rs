@@ -238,7 +238,7 @@ fn main() {
     let mut dropped_terminals = 0usize;
     for id in accepted_ids.iter().chain(flood_accepted.iter()) {
         match service.status(*id) {
-            Some(s) if matches!(s.state, JobState::Finished | JobState::Failed) => {}
+            Some(s) if matches!(s.state, Lifecycle::Done | Lifecycle::Failed(_)) => {}
             _ => dropped_terminals += 1,
         }
     }

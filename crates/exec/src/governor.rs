@@ -11,7 +11,7 @@
 //! amortize `Instant::now()` over [`DEADLINE_STRIDE`] checkpoints, so the
 //! per-tuple cost stays within the paper's "couple of atomics" budget.
 //!
-//! Breaches surface as typed [`ExecError`](qprog_types::ExecError)s through
+//! Breaches surface as typed [`ExecError`]s through
 //! the normal `QResult` channel — cancellation is *cooperative*: a query
 //! notices at its next checkpoint, which the chaos suite bounds at well
 //! under 100ms.

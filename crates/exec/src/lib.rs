@@ -1,7 +1,7 @@
 //! Volcano-style, instrumented execution engine.
 //!
-//! Every operator implements [`Operator::next`] — one call per output tuple,
-//! which is precisely the `getnext()` event the gnm progress model counts.
+//! Every operator implements [`Operator::next_batch`]; each tuple in a batch
+//! is one `getnext()` event, precisely what the gnm progress model counts.
 //! Operators publish per-operator counters through lock-free
 //! [`metrics::OpMetrics`] handles so a monitor (same thread or another) can
 //! observe `K_i` and the current `N_i` estimate at any time.

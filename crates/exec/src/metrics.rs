@@ -227,7 +227,7 @@ impl OpMetrics {
 
     /// Record `n` emitted tuples at once — the batch-boundary form of
     /// [`record_emitted`](Self::record_emitted). One atomic add per batch;
-    /// [`TraceHandle::tick`] already handles multi-unit advances (it stamps
+    /// `TraceHandle::tick` already handles multi-unit advances (it stamps
     /// whenever the counter crosses a stride boundary), so wall-span
     /// attribution is unchanged.
     #[inline]
@@ -397,7 +397,7 @@ impl OpMetrics {
 
     /// The operator's observed active wall span in µs — the inclusive
     /// first-to-last-work interval measured by epoch-clock reads amortized
-    /// over [`WALL_STAMP_STRIDE`] work units. `None` when untraced or
+    /// over `WALL_STAMP_STRIDE` work units. `None` when untraced or
     /// before any work is observed. Like `EXPLAIN ANALYZE` inclusive time,
     /// a parent operator's span contains its children's.
     pub fn wall_us(&self) -> Option<u64> {

@@ -1,9 +1,10 @@
 //! Plan execution drivers.
 //!
-//! Both drivers run inside [`governor::guarded`], a single `catch_unwind`
-//! boundary around the whole drain loop: a panic anywhere below the root
-//! surfaces as [`ExecError::OperatorPanic`](qprog_types::ExecError) through
-//! the normal `QResult` channel instead of unwinding through the caller.
+//! Both drivers run inside [`crate::governor::guarded`], a single
+//! `catch_unwind` boundary around the whole drain loop: a panic anywhere
+//! below the root surfaces as
+//! [`ExecError::OperatorPanic`](qprog_types::ExecError) through the normal
+//! `QResult` channel instead of unwinding through the caller.
 //! The boundary wraps the loop, not each `next_batch()`, so the per-batch
 //! path stays free of unwind machinery.
 

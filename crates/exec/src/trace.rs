@@ -178,11 +178,127 @@ impl AbortKind {
             None => AbortKind::Error,
         }
     }
+
+    /// Whether a run that failed this way may succeed if retried: injected
+    /// faults and operator panics are transient; cancellation, deadline
+    /// expiry, budget breaches and organic errors are not.
+    pub fn is_transient(self) -> bool {
+        matches!(self, AbortKind::Injected | AbortKind::OperatorPanic)
+    }
 }
 
 impl fmt::Display for AbortKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Where a query is in its life, as the monitor shows it and the query
+/// service drives it.
+///
+/// [`transition`](Self::transition) is the one place the legal moves are
+/// written down:
+///
+/// | from, to           | `Queued` | `Running` | `Retrying` | `Done` | `Failed` |
+/// |--------------------|----------|-----------|------------|--------|----------|
+/// | `Queued`           | –        | ✓         | ✓          | –      | ✓        |
+/// | `Running`          | –        | ✓         | ✓          | ✓      | ✓        |
+/// | `Retrying`         | –        | ✓         | ✓          | –      | ✓        |
+/// | `Done`, `Failed`   | –        | –         | –          | –      | –        |
+///
+/// Nothing leaves a terminal state, nothing re-enters `Queued`, and only
+/// `Running` may become `Done`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Lifecycle {
+    /// Accepted by the query service, waiting for a worker.
+    Queued,
+    /// Executing (or compiled and not yet driven).
+    Running,
+    /// The last attempt failed transiently; parked for a retry.
+    Retrying(AbortKind),
+    /// Ran to completion.
+    Done,
+    /// Ended without completing. Progress freezes where it stopped.
+    Failed(AbortKind),
+}
+
+/// A move [`Lifecycle::transition`] refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IllegalTransition {
+    /// State the move started from.
+    pub from: Lifecycle,
+    /// State the move asked for.
+    pub to: Lifecycle,
+}
+
+impl fmt::Display for IllegalTransition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "illegal lifecycle move {:?} -> {:?}", self.from, self.to)
+    }
+}
+
+impl std::error::Error for IllegalTransition {}
+
+impl Lifecycle {
+    /// The terminal label of a state that never ended.
+    const UNKNOWN: &'static str = "unknown";
+
+    /// Move to `to`, if the move is legal (see the type docs).
+    pub fn transition(self, to: Lifecycle) -> Result<Lifecycle, IllegalTransition> {
+        let legal = !self.is_terminal()
+            && to != Lifecycle::Queued
+            && (to != Lifecycle::Done || self == Lifecycle::Running);
+        if legal {
+            Ok(to)
+        } else {
+            Err(IllegalTransition { from: self, to })
+        }
+    }
+
+    /// Whether the query has ended (`Done` or `Failed`).
+    pub fn is_terminal(self) -> bool {
+        matches!(self, Lifecycle::Done | Lifecycle::Failed(_))
+    }
+
+    /// The failure kind of a failed or retrying query.
+    pub fn failure(self) -> Option<AbortKind> {
+        match self {
+            Lifecycle::Retrying(kind) | Lifecycle::Failed(kind) => Some(kind),
+            _ => None,
+        }
+    }
+
+    /// Stable lowercase name, as `/progress` and SSE frames render it:
+    /// `queued`, `running`, `retrying`, `done` or `failed`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Lifecycle::Queued => "queued",
+            Lifecycle::Running => "running",
+            Lifecycle::Retrying(_) => "retrying",
+            Lifecycle::Done => "done",
+            Lifecycle::Failed(_) => "failed",
+        }
+    }
+
+    /// The label a run is journaled and archived under: `finished`, the
+    /// failure's [`AbortKind::name`], or `unknown` for a run that never
+    /// ended (a trace with no terminal event).
+    pub fn terminal_label(self) -> &'static str {
+        match self {
+            Lifecycle::Done => "finished",
+            Lifecycle::Failed(kind) => kind.name(),
+            _ => Self::UNKNOWN,
+        }
+    }
+
+    /// Inverse of [`terminal_label`](Self::terminal_label): `unknown` parses
+    /// as `Running`, the state of a run that never ended.
+    pub fn from_terminal_label(label: &str) -> Option<Lifecycle> {
+        match label {
+            "finished" => Some(Lifecycle::Done),
+            Self::UNKNOWN => Some(Lifecycle::Running),
+            _ => AbortKind::from_name(label).map(Lifecycle::Failed),
+        }
     }
 }
 
@@ -576,6 +692,107 @@ mod tests {
         fn publish(&self, event: &TraceEvent) {
             self.0.lock().push(*event);
         }
+    }
+
+    const KINDS: [AbortKind; 6] = [
+        AbortKind::Cancelled,
+        AbortKind::DeadlineExceeded,
+        AbortKind::BudgetExceeded,
+        AbortKind::OperatorPanic,
+        AbortKind::Injected,
+        AbortKind::Error,
+    ];
+
+    fn every_lifecycle() -> Vec<Lifecycle> {
+        let mut all = vec![Lifecycle::Queued, Lifecycle::Running, Lifecycle::Done];
+        for k in KINDS {
+            all.push(Lifecycle::Retrying(k));
+            all.push(Lifecycle::Failed(k));
+        }
+        all
+    }
+
+    #[test]
+    fn lifecycle_transitions_follow_the_table_for_every_pair() {
+        use Lifecycle::*;
+        let all = every_lifecycle();
+        let mut legal = 0;
+        for &from in &all {
+            for &to in &all {
+                // The table in the type docs, row by row.
+                let expected = match (from, to) {
+                    (Done | Failed(_), _) => false,
+                    (_, Queued) => false,
+                    (_, Done) => from == Running,
+                    (Queued | Running | Retrying(_), Running | Retrying(_) | Failed(_)) => true,
+                };
+                let got = from.transition(to);
+                assert_eq!(got.is_ok(), expected, "{from:?} -> {to:?}");
+                match got {
+                    Ok(next) => {
+                        assert_eq!(next, to);
+                        legal += 1;
+                    }
+                    Err(e) => assert_eq!(e, IllegalTransition { from, to }),
+                }
+            }
+        }
+        // 8 live sources (Queued, Running, 6 Retrying) × 13 targets (Running,
+        // 6 Retrying, 6 Failed), plus Running → Done.
+        assert_eq!(legal, 8 * 13 + 1);
+        // The moves the query service makes outside the happy path.
+        assert!(Queued.transition(Retrying(AbortKind::Injected)).is_ok());
+        assert!(Retrying(AbortKind::Injected)
+            .transition(Retrying(AbortKind::OperatorPanic))
+            .is_ok());
+        assert!(Queued.transition(Failed(AbortKind::Cancelled)).is_ok());
+        assert!(Retrying(AbortKind::Injected)
+            .transition(Failed(AbortKind::DeadlineExceeded))
+            .is_ok());
+    }
+
+    #[test]
+    fn lifecycle_names_and_terminal_labels() {
+        let names: Vec<&str> = [
+            Lifecycle::Queued,
+            Lifecycle::Running,
+            Lifecycle::Retrying(AbortKind::Injected),
+            Lifecycle::Done,
+            Lifecycle::Failed(AbortKind::Injected),
+        ]
+        .iter()
+        .map(|l| l.name())
+        .collect();
+        assert_eq!(names, ["queued", "running", "retrying", "done", "failed"]);
+        assert_eq!(Lifecycle::Done.terminal_label(), "finished");
+        for k in KINDS {
+            assert_eq!(Lifecycle::Failed(k).terminal_label(), k.name());
+            assert_eq!(Lifecycle::Failed(k).failure(), Some(k));
+            assert_eq!(Lifecycle::Retrying(k).failure(), Some(k));
+        }
+        for l in every_lifecycle() {
+            let back = Lifecycle::from_terminal_label(l.terminal_label());
+            let expected = if l.is_terminal() {
+                l
+            } else {
+                Lifecycle::Running
+            };
+            assert_eq!(back, Some(expected), "{l:?}");
+        }
+        assert_eq!(Lifecycle::Queued.terminal_label(), "unknown");
+        assert_eq!(Lifecycle::from_terminal_label("done"), None);
+        assert_eq!(Lifecycle::from_terminal_label("running"), None);
+        assert_eq!(Lifecycle::from_terminal_label(""), None);
+    }
+
+    #[test]
+    fn only_injected_faults_and_panics_are_transient() {
+        let transient: Vec<AbortKind> = KINDS.into_iter().filter(|k| k.is_transient()).collect();
+        assert_eq!(
+            transient,
+            [AbortKind::OperatorPanic, AbortKind::Injected],
+            "cancel, deadline, budget and organic errors never retry"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! so a given seed yields the same fault schedule on every run.
 //!
 //! Injected errors surface as
-//! [`QError::Lifecycle`]`(`[`ExecError::Injected`](qprog_types::ExecError::Injected)`)`
+//! [`QError::Lifecycle`](qprog_types::QError::Lifecycle)`(`[`ExecError::Injected`](qprog_types::ExecError::Injected)`)`
 //! so the lifecycle layer can distinguish them from organic failures.
 
 use qprog_types::QResult;

@@ -7,7 +7,7 @@
 //!   execution trace (the [`PhaseSink`]).
 //! - **Service-owned** ([`register_managed`](QueryDirectory::register_managed)):
 //!   created by the query service at submit time, before any execution
-//!   exists. Lifecycle state is *dictated* by the service
+//!   exists. Its [`Lifecycle`] is *dictated* by the service
 //!   ([`set_managed_state`](QueryDirectory::set_managed_state)) so a
 //!   transiently-failed attempt can show `retrying` instead of leaking a
 //!   premature terminal; execution progress attaches later
@@ -22,67 +22,15 @@ use std::time::Instant;
 
 use qprog_core::gnm::PipelineState;
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::{AbortKind, Phase, TraceEvent, TraceEventKind, TraceSink};
+use qprog_exec::trace::{AbortKind, Lifecycle, Phase, TraceEvent, TraceEventKind, TraceSink};
 use qprog_metrics::{Counter, Gauge, Registry};
-use qprog_obs::json::{escape, num};
+use qprog_obs::json::num;
 use qprog_obs::HealthAnalyzer;
 use qprog_plan::ProgressTracker;
+use qprog_types::json::escape;
 
 use crate::eta::EtaSmoother;
 use crate::hub::StreamHub;
-
-/// A monitored query's lifecycle state, as rendered in `/progress` and the
-/// dashboard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryState {
-    /// Still executing (or compiled and not yet driven).
-    Running,
-    /// Root exhausted; progress pinned at 1.0.
-    Done,
-    /// Terminated without completing (cancelled, deadline, budget, panic,
-    /// injected fault, or error). Progress freezes where it stopped.
-    Failed(AbortKind),
-}
-
-impl QueryState {
-    /// Stable lowercase name (`running` / `done` / `failed`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryState::Running => "running",
-            QueryState::Done => "done",
-            QueryState::Failed(_) => "failed",
-        }
-    }
-}
-
-/// Service-dictated lifecycle for managed entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManagedState {
-    /// Accepted, waiting for a dispatcher worker.
-    Queued,
-    /// Dispatched; execution attempt `attempt` (1-based) is in flight.
-    Running {
-        /// Attempt number.
-        attempt: u32,
-    },
-    /// Last attempt failed transiently; parked for backoff.
-    Retrying {
-        /// Typed failure kind of the failed attempt.
-        kind: String,
-        /// Attempts completed so far.
-        attempt: u32,
-    },
-    /// The service declared the outcome. This — and only this — triggers
-    /// the exactly-once terminal frame for managed entries.
-    Terminal {
-        /// Completed successfully.
-        done: bool,
-        /// Typed failure kind when not `done`.
-        failure: Option<String>,
-        /// Rows produced, when known.
-        rows: Option<u64>,
-    },
-}
 
 /// A [`TraceSink`] tracking each operator's last observed phase plus the
 /// query's terminal event — the live-status complement to the cumulative
@@ -117,14 +65,15 @@ impl PhaseSink {
         *self.aborted.lock()
     }
 
-    /// The query's lifecycle state as observed through trace events.
-    pub fn state(&self) -> QueryState {
+    /// The query's lifecycle state as observed through trace events:
+    /// `Running`, `Done` or `Failed`.
+    pub fn state(&self) -> Lifecycle {
         if let Some(reason) = self.abort_reason() {
-            QueryState::Failed(reason)
+            Lifecycle::Failed(reason)
         } else if self.is_finished() {
-            QueryState::Done
+            Lifecycle::Done
         } else {
-            QueryState::Running
+            Lifecycle::Running
         }
     }
 
@@ -178,8 +127,11 @@ struct QueryEntry {
     /// Dispatch attempts (managed entries).
     attempt: u32,
     exec: Option<ExecAttachment>,
-    /// `None` = session-owned (lifecycle derived from the trace).
-    managed: Option<ManagedState>,
+    /// The service-dictated lifecycle of a managed entry; `None` for a
+    /// session-owned entry, whose lifecycle derives from its trace.
+    managed: Option<Lifecycle>,
+    /// Rows a managed entry's terminal reported.
+    rows: Option<u64>,
     started: Instant,
     /// Smoothed remaining-time estimate (interior mutability: refreshed
     /// from whichever render or broadcast tick observes the entry).
@@ -191,17 +143,6 @@ struct QueryEntry {
     max_fraction: AtomicU64,
     /// Whether the stream hub already saw this query's terminal frame.
     terminal_emitted: AtomicBool,
-}
-
-/// Flattened lifecycle used by every render path.
-struct LifeView {
-    state: &'static str,
-    /// Failure kind (terminal failures and retry parks).
-    failure: Option<String>,
-    done: bool,
-    terminal: bool,
-    rows: Option<u64>,
-    running: bool,
 }
 
 impl QueryEntry {
@@ -217,65 +158,24 @@ impl QueryEntry {
         }
     }
 
-    fn view(&self) -> LifeView {
-        match &self.managed {
-            None => {
-                let exec = self.exec.as_ref().expect("session entries carry exec");
-                let state = exec.phases.state();
-                let done = match state {
-                    QueryState::Failed(_) => false,
-                    QueryState::Done => true,
-                    QueryState::Running => exec.tracker.snapshot().is_complete(),
-                };
-                let terminal = done || matches!(state, QueryState::Failed(_));
-                LifeView {
-                    state: if done { "done" } else { state.name() },
-                    failure: match state {
-                        QueryState::Failed(reason) => Some(reason.to_string()),
-                        _ => None,
-                    },
-                    done,
-                    terminal,
-                    rows: exec.phases.rows(),
-                    running: state == QueryState::Running && !done,
-                }
-            }
-            Some(ManagedState::Queued) => LifeView {
-                state: "queued",
-                failure: None,
-                done: false,
-                terminal: false,
-                rows: None,
-                running: false,
-            },
-            Some(ManagedState::Running { .. }) => LifeView {
-                state: "running",
-                failure: None,
-                done: false,
-                terminal: false,
-                rows: None,
-                running: true,
-            },
-            Some(ManagedState::Retrying { kind, .. }) => LifeView {
-                state: "retrying",
-                failure: Some(kind.clone()),
-                done: false,
-                terminal: false,
-                rows: None,
-                running: false,
-            },
-            Some(ManagedState::Terminal {
-                done,
-                failure,
-                rows,
-            }) => LifeView {
-                state: if *done { "done" } else { "failed" },
-                failure: failure.clone(),
-                done: *done,
-                terminal: true,
-                rows: *rows,
-                running: false,
-            },
+    /// The entry's lifecycle. A session-owned query counts as `Done` once
+    /// its progress is complete, even before the trace says so.
+    fn lifecycle(&self) -> Lifecycle {
+        if let Some(state) = self.managed {
+            return state;
+        }
+        let exec = self.exec.as_ref().expect("session entries carry exec");
+        match exec.phases.state() {
+            Lifecycle::Running if exec.tracker.snapshot().is_complete() => Lifecycle::Done,
+            state => state,
+        }
+    }
+
+    /// Rows returned, once known.
+    fn rows(&self) -> Option<u64> {
+        match self.managed {
+            Some(_) => self.rows,
+            None => self.exec.as_ref().and_then(|x| x.phases.rows()),
         }
     }
 }
@@ -350,6 +250,7 @@ impl QueryDirectory {
                     health,
                 }),
                 managed: None,
+                rows: None,
                 started: Instant::now(),
                 eta: Mutex::new(EtaSmoother::new()),
                 max_fraction: AtomicU64::new(0.0f64.to_bits()),
@@ -386,7 +287,8 @@ impl QueryDirectory {
                 tenant: Some(tenant.into()),
                 attempt: 0,
                 exec: None,
-                managed: Some(ManagedState::Queued),
+                managed: Some(Lifecycle::Queued),
+                rows: None,
                 started: Instant::now(),
                 eta: Mutex::new(EtaSmoother::new()),
                 max_fraction: AtomicU64::new(0.0f64.to_bits()),
@@ -434,25 +336,26 @@ impl QueryDirectory {
         }
     }
 
-    /// Move a managed entry through its service-dictated lifecycle.
-    /// Setting [`ManagedState::Terminal`] arms the exactly-once terminal
-    /// frame (emitted by the next tick, or on unregister). Returns false
-    /// if the id is unknown.
-    pub fn set_managed_state(&self, id: u64, state: ManagedState) -> bool {
+    /// Move a managed entry to `to`, as the service dictates (the service
+    /// checks the move). `attempt`, when given, replaces the rendered
+    /// attempt count; `rows` is what a terminal reports. Entering a
+    /// terminal state arms the exactly-once terminal frame (emitted by the
+    /// next tick, or on unregister). Returns false if the id is unknown.
+    pub fn set_managed_state(
+        &self,
+        id: u64,
+        to: Lifecycle,
+        attempt: Option<u32>,
+        rows: Option<u64>,
+    ) -> bool {
         let mut entries = self.entries.lock();
-        match entries.get_mut(&id) {
-            Some(e) => {
-                match &state {
-                    ManagedState::Running { attempt } | ManagedState::Retrying { attempt, .. } => {
-                        e.attempt = *attempt
-                    }
-                    _ => {}
-                }
-                e.managed = Some(state);
-                true
-            }
-            None => false,
-        }
+        let Some(e) = entries.get_mut(&id) else {
+            return false;
+        };
+        e.managed = Some(to);
+        e.attempt = attempt.unwrap_or(e.attempt);
+        e.rows = rows;
+        true
     }
 
     fn remove(&self, id: u64) {
@@ -493,15 +396,16 @@ impl QueryDirectory {
         };
         let entries = self.entries.lock();
         for (&id, e) in entries.iter() {
-            let view = e.view();
+            let state = e.lifecycle();
+            let running = state == Lifecycle::Running;
             if let Some(exec) = &e.exec {
                 if let Some(h) = &exec.health {
                     let snap = exec.tracker.snapshot();
                     let elapsed_us = e.started.elapsed().as_micros() as u64;
                     let fraction = e.clamped_fraction(snap.fraction());
-                    let eta = e.eta.lock().update(elapsed_us, fraction, view.running);
+                    let eta = e.eta.lock().update(elapsed_us, fraction, running);
                     if let Some((from, to, reason)) =
-                        h.observe(snap.current(), eta.map(|v| v as f64), view.running)
+                        h.observe(snap.current(), eta.map(|v| v as f64), running)
                     {
                         hub.publish(
                             id,
@@ -515,7 +419,7 @@ impl QueryDirectory {
                     }
                 }
             }
-            if view.terminal {
+            if state.is_terminal() {
                 if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
                     hub.publish(id, "terminal", &Self::summary_json(id, e), true);
                 }
@@ -541,7 +445,7 @@ impl QueryDirectory {
     }
 
     fn summary_json(id: u64, e: &QueryEntry) -> String {
-        let view = e.view();
+        let state = e.lifecycle();
         // Progress numbers come from the execution attachment; entries
         // waiting for dispatch render the trivially-true bounds.
         let (fraction, lo, hi, current, total, pipes, pipes_done) = match &e.exec {
@@ -577,7 +481,7 @@ impl QueryDirectory {
         let eta_us = e
             .eta
             .lock()
-            .update(elapsed_us, fraction, view.running)
+            .update(elapsed_us, fraction, state == Lifecycle::Running)
             .map_or_else(|| "null".to_string(), |v| v.to_string());
         let health = e.exec.as_ref().and_then(|x| x.health.as_ref()).map_or_else(
             || "null".to_string(),
@@ -602,12 +506,12 @@ impl QueryDirectory {
             num(lo),
             num(hi),
             num(total),
-            view.state,
-            view.failure
-                .as_ref()
-                .map_or("null".to_string(), |f| format!("\"{}\"", escape(f))),
-            view.done,
-            view.rows.map_or("null".to_string(), |r| r.to_string()),
+            state.name(),
+            state
+                .failure()
+                .map_or("null".to_string(), |f| format!("\"{f}\"")),
+            state == Lifecycle::Done,
+            e.rows().map_or("null".to_string(), |r| r.to_string()),
         )
     }
 
@@ -678,7 +582,7 @@ impl QueryDirectory {
         entries.get(&id).map(|e| {
             (
                 Self::summary_json(id, e),
-                e.view().terminal,
+                e.lifecycle().is_terminal(),
                 e.terminal_emitted.load(Ordering::Relaxed),
             )
         })
@@ -817,12 +721,12 @@ mod tests {
     #[test]
     fn phase_sink_records_aborts_as_failed_state() {
         let sink = PhaseSink::new();
-        assert_eq!(sink.state(), QueryState::Running);
+        assert_eq!(sink.state(), Lifecycle::Running);
         sink.publish(&ev(TraceEventKind::QueryAborted {
             reason: AbortKind::Cancelled,
             rows: 17,
         }));
-        assert_eq!(sink.state(), QueryState::Failed(AbortKind::Cancelled));
+        assert_eq!(sink.state(), Lifecycle::Failed(AbortKind::Cancelled));
         assert_eq!(sink.abort_reason(), Some(AbortKind::Cancelled));
         assert_eq!(sink.rows(), Some(17));
         assert!(!sink.is_finished());
@@ -886,7 +790,7 @@ mod tests {
         assert!(all.contains("\"fraction\":0"), "{all}");
         assert!(all.contains("\"eta_us\":null"), "{all}");
 
-        assert!(dir.set_managed_state(id, ManagedState::Running { attempt: 1 }));
+        assert!(dir.set_managed_state(id, Lifecycle::Running, Some(1), None));
         let (t, reg) = tracker();
         assert!(dir.attach_execution(id, t, Arc::new(PhaseSink::new()), None));
         for _ in 0..40 {
@@ -898,32 +802,19 @@ mod tests {
         assert!(detail.contains("\"fraction\":0.4"), "{detail}");
         assert!(detail.contains("\"ops\":[{\"name\":\"scan\""), "{detail}");
 
-        assert!(dir.set_managed_state(
-            id,
-            ManagedState::Retrying {
-                kind: "injected".to_string(),
-                attempt: 1,
-            }
-        ));
+        assert!(dir.set_managed_state(id, Lifecycle::Retrying(AbortKind::Injected), Some(1), None));
         let all = dir.render_all();
         assert!(all.contains("\"state\":\"retrying\""), "{all}");
         assert!(all.contains("\"failure\":\"injected\""), "{all}");
         assert!(all.contains("\"done\":false"), "{all}");
 
-        assert!(dir.set_managed_state(
-            id,
-            ManagedState::Terminal {
-                done: true,
-                failure: None,
-                rows: Some(123),
-            }
-        ));
+        assert!(dir.set_managed_state(id, Lifecycle::Done, None, Some(123)));
         let detail = dir.render_query(id).unwrap();
         assert!(detail.contains("\"state\":\"done\""), "{detail}");
         assert!(detail.contains("\"done\":true"), "{detail}");
         assert!(detail.contains("\"rows\":123"), "{detail}");
         drop(q);
-        assert!(!dir.set_managed_state(id, ManagedState::Queued));
+        assert!(!dir.set_managed_state(id, Lifecycle::Queued, None, None));
         assert!(!dir.attach_execution(id, tracker().0, Arc::new(PhaseSink::new()), None));
     }
 
@@ -947,7 +838,7 @@ mod tests {
         let dir = Arc::new(QueryDirectory::new(None));
         let id = dir.allocate_id(1);
         let _q = dir.register_managed(id, "flaky", "gnm", "t");
-        dir.set_managed_state(id, ManagedState::Running { attempt: 1 });
+        dir.set_managed_state(id, Lifecycle::Running, Some(1), None);
         let (t, _reg) = tracker();
         let sink = Arc::new(PhaseSink::new());
         dir.attach_execution(id, t, Arc::clone(&sink), None);

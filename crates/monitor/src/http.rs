@@ -7,6 +7,8 @@
 
 use std::io::{Read, Write};
 
+use qprog_types::json::escape;
+
 /// Cap on the request head (request line + headers) we are willing to read.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
@@ -184,8 +186,8 @@ impl Response {
             content_type: "application/json",
             body: format!(
                 "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(error),
-                json_escape(detail)
+                escape(error),
+                escape(detail)
             ),
             retry_after: None,
         }
@@ -282,99 +284,6 @@ pub fn write_sse_frame_with_id(
 ) -> std::io::Result<()> {
     write!(stream, "id: {id}\nevent: {event}\ndata: {data}\n\n")?;
     stream.flush()
-}
-
-/// JSON string escaping for error bodies and submit-payload echoes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Extract string field `key` from a flat JSON object, handling escaped
-/// quotes inside the value (submit bodies carry raw SQL). Returns `None`
-/// when the field is absent or not a string.
-pub fn body_str_field(body: &str, key: &str) -> Option<String> {
-    let key_pos = find_key(body, key)?;
-    let rest = body[key_pos..].trim_start();
-    let inner = rest.strip_prefix('"')?;
-    let bytes = inner.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return json_unescape(&inner[..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Extract non-negative integer field `key` from a flat JSON object.
-pub fn body_u64_field(body: &str, key: &str) -> Option<u64> {
-    let key_pos = find_key(body, key)?;
-    let rest = body[key_pos..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Position just past `"key":`, skipping matches inside string values by
-/// requiring the key to sit at a structural boundary (after `{` or `,`).
-fn find_key(body: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\"");
-    let mut from = 0;
-    while let Some(rel) = body[from..].find(&needle) {
-        let at = from + rel;
-        let before = body[..at].trim_end().chars().last();
-        let after = body[at + needle.len()..].trim_start();
-        if matches!(before, Some('{') | Some(',')) {
-            if let Some(rest) = after.strip_prefix(':') {
-                return Some(body.len() - rest.len());
-            }
-        }
-        from = at + needle.len();
-    }
-    None
 }
 
 #[cfg(test)]
@@ -543,25 +452,5 @@ mod tests {
         );
         let mut stream = huge.as_bytes();
         assert_eq!(read_request(&mut stream), Err(ReadError::BodyTooLarge));
-    }
-
-    #[test]
-    fn body_fields_handle_escapes_and_embedded_keys() {
-        let body = "{\"tenant\":\"acme\",\"sql\":\"select \\\"x\\\" from t where s='\\\"sql\\\": 1'\",\"deadline_ms\":2500}";
-        assert_eq!(body_str_field(body, "tenant").unwrap(), "acme");
-        assert_eq!(
-            body_str_field(body, "sql").unwrap(),
-            "select \"x\" from t where s='\"sql\": 1'"
-        );
-        assert_eq!(body_u64_field(body, "deadline_ms"), Some(2500));
-        assert_eq!(body_str_field(body, "label"), None);
-        assert_eq!(body_u64_field(body, "sql"), None);
-        // a key-looking token inside a string value is not a field
-        let tricky = "{\"sql\":\"x \\\"label\\\": y\"}";
-        assert_eq!(body_str_field(tricky, "label"), None);
-        // whitespace-tolerant
-        let spaced = "{ \"sql\" : \"select 1\" , \"tenant\" : \"t\" }";
-        assert_eq!(body_str_field(spaced, "sql").unwrap(), "select 1");
-        assert_eq!(body_str_field(spaced, "tenant").unwrap(), "t");
     }
 }

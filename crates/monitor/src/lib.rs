@@ -4,13 +4,13 @@
 //! someone can watch it while the query runs. This crate serves that view
 //! over plain HTTP using nothing but `std::net`:
 //!
-//! - [`directory`] — a [`QueryDirectory`](directory::QueryDirectory) where
+//! - [`directory`] — a [`QueryDirectory`] where
 //!   live queries register a cloneable
 //!   [`ProgressTracker`](qprog_plan::ProgressTracker) plus a
-//!   [`PhaseSink`](directory::PhaseSink) (last observed phase per
+//!   [`PhaseSink`] (last observed phase per
 //!   operator), and unregister automatically when their registration token
 //!   drops;
-//! - [`server`] — a threaded [`MonitorServer`](server::MonitorServer) on
+//! - [`server`] — a threaded [`MonitorServer`] on
 //!   `std::net::TcpListener` answering
 //!   `GET /metrics` (Prometheus text from an attached
 //!   [`qprog_metrics::Registry`]), `GET /progress` and
@@ -19,13 +19,13 @@
 //!   self-contained HTML dashboard polling the JSON endpoints);
 //! - [`http`] — the minimal HTTP/1.1 request parsing and response writing
 //!   underneath, shared by the server and its tests;
-//! - [`hub`] — the server-push [`StreamHub`](hub::StreamHub) behind
+//! - [`hub`] — the server-push [`StreamHub`] behind
 //!   `GET /progress/{id}/stream` and the `GET /events` firehose: each
 //!   broadcast tick encodes a query's progress **once** and fans the frame
 //!   out to every `text/event-stream` subscriber through bounded queues
 //!   (slow readers drop stale progress frames and are eventually evicted;
 //!   terminal frames are never dropped);
-//! - [`eta`] — the [`EtaSmoother`](eta::EtaSmoother) turning the raw
+//! - [`eta`] — the [`EtaSmoother`] turning the raw
 //!   `elapsed × (1 − p) / p` remaining-time formula into a stable number.
 //!
 //! Everything is observer-side: sampling a tracker is a handful of relaxed
@@ -43,7 +43,7 @@ pub mod service;
 // re-exported so monitor users need only one dependency.
 pub use qprog_service;
 
-pub use directory::{ManagedState, MonitoredQuery, PhaseSink, QueryDirectory, QueryState};
+pub use directory::{MonitoredQuery, PhaseSink, QueryDirectory};
 pub use eta::EtaSmoother;
 pub use hub::{StreamHub, StreamNext, StreamSubscriber};
 pub use server::{MonitorServer, ServerConfig};

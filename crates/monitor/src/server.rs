@@ -8,16 +8,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use qprog_exec::sync::Mutex;
+use qprog_exec::trace::Lifecycle;
 use qprog_metrics::Registry;
 use qprog_obs::Corpus;
 use qprog_service::{CancelOutcome, QueryService, SubmitError, SubmitRequest};
+use qprog_types::json::{str_field, u64_field};
 use qprog_types::{QError, QResult};
 
 use crate::dashboard::DASHBOARD_HTML;
 use crate::directory::QueryDirectory;
 use crate::http::{
-    body_str_field, body_u64_field, read_request, write_sse_frame, write_sse_frame_with_id,
-    write_sse_head, ReadError, Request, Response,
+    read_request, write_sse_frame, write_sse_frame_with_id, write_sse_head, ReadError, Request,
+    Response,
 };
 use crate::hub::{StreamHub, StreamNext, StreamSubscriber, DEFAULT_QUEUE_CAP};
 
@@ -28,18 +30,6 @@ const TICK: Duration = Duration::from_millis(25);
 /// How long an SSE writer waits for a frame before emitting a keepalive
 /// comment (which also detects silently-dead clients).
 const STREAM_POLL: Duration = Duration::from_millis(250);
-
-/// Terminal states a corpus run can be archived under (`/history?state=`).
-const HISTORY_STATES: &[&str] = &[
-    "finished",
-    "cancelled",
-    "deadline",
-    "budget",
-    "panic",
-    "injected",
-    "error",
-    "unknown",
-];
 
 /// Tunable robustness bounds for the HTTP front end.
 #[derive(Debug, Clone)]
@@ -558,10 +548,10 @@ impl MonitorServer {
         let Some(service) = self.service() else {
             return Response::not_found("no query service attached");
         };
-        let Some(sql) = body_str_field(&request.body, "sql") else {
+        let Some(sql) = str_field(&request.body, "sql") else {
             return Response::bad_request("body must be a JSON object with a \"sql\" string field");
         };
-        let Some(tenant) = body_str_field(&request.body, "tenant") else {
+        let Some(tenant) = str_field(&request.body, "tenant") else {
             return Response::bad_request(
                 "body must be a JSON object with a \"tenant\" string field",
             );
@@ -569,8 +559,8 @@ impl MonitorServer {
         let req = SubmitRequest {
             sql,
             tenant,
-            label: body_str_field(&request.body, "label"),
-            deadline: body_u64_field(&request.body, "deadline_ms").map(Duration::from_millis),
+            label: str_field(&request.body, "label"),
+            deadline: u64_field(&request.body, "deadline_ms").map(Duration::from_millis),
         };
         match service.submit(req) {
             Ok(ticket) => Response {
@@ -631,7 +621,7 @@ impl MonitorServer {
             },
         };
         if let Some(s) = request.param("state") {
-            if !HISTORY_STATES.contains(&s) {
+            if Lifecycle::from_terminal_label(s).is_none() {
                 return Response::bad_request(
                     "state must be one of finished, cancelled, deadline, budget, panic, \
                      injected, error, unknown",
@@ -1078,7 +1068,7 @@ mod tests {
         );
         assert!(accepted.starts_with("HTTP/1.1 202 Accepted"), "{accepted}");
         let body = accepted.split("\r\n\r\n").nth(1).unwrap();
-        let id = body_u64_field(body, "id").expect("ticket carries the id");
+        let id = u64_field(body, "id").expect("ticket carries the id");
         assert!(body.contains("\"state\":\"queued\""), "{body}");
 
         // The submission becomes visible under /progress/{id} and reaches
@@ -1165,7 +1155,7 @@ mod tests {
         let service = attach_service(&server, &dir, cfg);
         let accepted = post(addr, "/submit", "{\"sql\":\"select 1\",\"tenant\":\"t\"}");
         let body = accepted.split("\r\n\r\n").nth(1).unwrap();
-        let id = body_u64_field(body, "id").unwrap();
+        let id = u64_field(body, "id").unwrap();
         let cancelled = post(addr, &format!("/progress/{id}/cancel"), "");
         assert!(cancelled.starts_with("HTTP/1.1 200"), "{cancelled}");
         assert!(cancelled.contains("\"state\":\"cancelled\""), "{cancelled}");
@@ -1218,7 +1208,7 @@ mod tests {
         let service = attach_service(&server, &dir, ServiceConfig::default());
         let accepted = post(addr, "/submit", "{\"sql\":\"select 1\",\"tenant\":\"t\"}");
         let body = accepted.split("\r\n\r\n").nth(1).unwrap();
-        let id = body_u64_field(body, "id").unwrap();
+        let id = u64_field(body, "id").unwrap();
         // Poll until the lifecycle completes and the span tree includes
         // the terminal finalize phase.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

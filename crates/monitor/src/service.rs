@@ -13,9 +13,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qprog_exec::sync::Mutex;
+use qprog_exec::trace::{AbortKind, Lifecycle};
 use qprog_service::{JobOutcome, JobSpec, StatusObserver};
 
-use crate::directory::{ManagedState, MonitoredQuery, QueryDirectory};
+use crate::directory::{MonitoredQuery, QueryDirectory};
 
 /// [`StatusObserver`] implementation backed by a [`QueryDirectory`].
 ///
@@ -65,38 +66,26 @@ impl StatusObserver for DirectoryObserver {
 
     fn on_dispatched(&self, job: &JobSpec) {
         // `job.attempt` counts *prior* attempts; this dispatch is the next.
-        self.directory.set_managed_state(
-            job.id,
-            ManagedState::Running {
-                attempt: job.attempt + 1,
-            },
-        );
+        self.directory
+            .set_managed_state(job.id, Lifecycle::Running, Some(job.attempt + 1), None);
     }
 
-    fn on_retrying(&self, job: &JobSpec, kind: &'static str, _backoff: Duration) {
+    fn on_retrying(&self, job: &JobSpec, kind: AbortKind, _backoff: Duration) {
         self.directory.set_managed_state(
             job.id,
-            ManagedState::Retrying {
-                kind: kind.to_string(),
-                attempt: job.attempt + 1,
-            },
+            Lifecycle::Retrying(kind),
+            Some(job.attempt + 1),
+            None,
         );
     }
 
     fn on_terminal(&self, job: &JobSpec, outcome: &JobOutcome) {
-        let state = match outcome {
-            JobOutcome::Finished { rows } => ManagedState::Terminal {
-                done: true,
-                failure: None,
-                rows: Some(*rows),
-            },
-            JobOutcome::Failed { kind, .. } => ManagedState::Terminal {
-                done: false,
-                failure: Some((*kind).to_string()),
-                rows: None,
-            },
+        let rows = match outcome {
+            JobOutcome::Finished { rows } => Some(*rows),
+            JobOutcome::Failed { .. } => None,
         };
-        self.directory.set_managed_state(job.id, state);
+        self.directory
+            .set_managed_state(job.id, outcome.lifecycle(), None, rows);
     }
 
     fn on_evicted(&self, id: u64) {
@@ -156,7 +145,7 @@ mod tests {
         assert!(json.contains("\"state\":\"running\""), "{json}");
         assert!(json.contains("\"attempt\":1"), "{json}");
 
-        obs.on_retrying(&j, "injected", Duration::from_millis(5));
+        obs.on_retrying(&j, AbortKind::Injected, Duration::from_millis(5));
         let json = dir.render_query(id).unwrap();
         assert!(json.contains("\"state\":\"retrying\""), "{json}");
         assert!(json.contains("\"failure\":\"injected\""), "{json}");
@@ -186,7 +175,7 @@ mod tests {
         obs.on_terminal(
             &j,
             &JobOutcome::Failed {
-                kind: "deadline",
+                kind: AbortKind::DeadlineExceeded,
                 detail: "expired in queue".to_string(),
             },
         );

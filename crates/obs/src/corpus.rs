@@ -6,8 +6,7 @@
 //!
 //! - `run-NNNNNN.jsonl` — the run's full trace, one
 //!   [`event_to_json`](crate::json::event_to_json) object per line, so it
-//!   round-trips through [`ReplayedTrace`](crate::replay::ReplayedTrace)
-//!   byte-identically;
+//!   round-trips through [`ReplayedTrace`] byte-identically;
 //! - one line appended to `index.jsonl` — a compact record carrying the
 //!   run's identity (label, workload, estimator, threads, seed), terminal
 //!   state, wall time, and the full [`ProgressScore`] scorecard computed at
@@ -38,9 +37,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::{EventBus, RegressionKind, TraceEvent, TraceEventKind, TraceSink};
+use qprog_exec::trace::{
+    EventBus, Lifecycle, RegressionKind, TraceEvent, TraceEventKind, TraceSink,
+};
+use qprog_types::json::raw_field;
 
-use crate::json::raw_field;
 use crate::replay::ReplayedTrace;
 use crate::scoring::{score_events, ProgressScore};
 
@@ -615,12 +616,12 @@ impl Corpus {
         inner.next_run += 1;
 
         // Baselines come from *prior* finished runs with the same key.
-        let regressions = if state == "finished" {
+        let regressions = if state == Lifecycle::Done {
             let baselines: Vec<&RunRecord> = inner
                 .runs
                 .iter()
                 .filter(|r| {
-                    r.state == "finished"
+                    r.state == Lifecycle::Done.terminal_label()
                         && r.workload == meta.workload
                         && r.estimator == meta.estimator
                         && r.threads == meta.threads
@@ -638,7 +639,7 @@ impl Corpus {
             estimator: meta.estimator.clone(),
             threads: meta.threads,
             seed: meta.seed,
-            state,
+            state: state.terminal_label().to_string(),
             wall_us,
             events: events.len() as u64,
             trace_bytes: jsonl.len() as u64,
@@ -708,17 +709,18 @@ impl Corpus {
     }
 }
 
-/// The terminal state a trace records: `finished`, an abort reason name,
-/// or `unknown` when no terminal event was captured.
-fn terminal_state(events: &[TraceEvent]) -> String {
-    for e in events.iter().rev() {
-        match e.kind {
-            TraceEventKind::QueryFinished { .. } => return "finished".to_string(),
-            TraceEventKind::QueryAborted { reason, .. } => return reason.name().to_string(),
-            _ => {}
-        }
-    }
-    "unknown".to_string()
+/// The state a trace's last terminal event records; `Running` (archived
+/// as `unknown`) when no terminal event was captured.
+fn terminal_state(events: &[TraceEvent]) -> Lifecycle {
+    events
+        .iter()
+        .rev()
+        .find_map(|e| match e.kind {
+            TraceEventKind::QueryFinished { .. } => Some(Lifecycle::Done),
+            TraceEventKind::QueryAborted { reason, .. } => Some(Lifecycle::Failed(reason)),
+            _ => None,
+        })
+        .unwrap_or(Lifecycle::Running)
 }
 
 /// Cap on events buffered per run, so a pathological trace cannot grow the

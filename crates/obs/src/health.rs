@@ -15,7 +15,7 @@
 //!   volatility** (relative swing of the smoothed ETA between samples).
 //!
 //! Verdict changes are published back onto the query's own
-//! [`EventBus`](qprog_exec::trace::EventBus) as typed
+//! [`EventBus`] as typed
 //! [`TraceEventKind::HealthTransition`] events — so they land in JSONL
 //! traces, replay, metrics (`qprog_health_*`), and the monitor's JSON —
 //! always from the monitor's sampling thread, never from the query thread.

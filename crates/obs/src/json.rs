@@ -6,23 +6,7 @@
 use std::fmt::Write as _;
 
 use qprog_exec::trace::{TraceEvent, TraceEventKind};
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use qprog_types::json::escape;
 
 /// A finite float as a JSON number; NaN/inf become `null` (JSON has no
 /// representation for them).
@@ -195,84 +179,11 @@ pub fn write_event_json(out: &mut String, event: &TraceEvent, op_names: &[String
     out.push('}');
 }
 
-/// Extract a field's raw value text from a flat one-line JSON object
-/// produced by [`event_to_json`] (enough for tests and examples to parse
-/// traces back without a JSON parser). String values are returned as the
-/// raw escaped text between the quotes — pass through [`unescape`] to
-/// recover the original characters.
-pub fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = if let Some(stripped) = rest.strip_prefix('"') {
-        // String value: find the closing quote, skipping escaped ones. A
-        // backslash always escapes exactly one following character in the
-        // encoding `escape` produces.
-        let bytes = stripped.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(&stripped[..i]),
-                _ => i += 1,
-            }
-        }
-        return None;
-    } else {
-        rest.find([',', '}']).unwrap_or(rest.len())
-    };
-    Some(&rest[..end])
-}
-
-/// Inverse of [`escape`]: decode a JSON string literal's body (the raw
-/// escaped text [`raw_field`] returns for string values). Unknown escapes
-/// and truncated `\u` sequences are passed through verbatim rather than
-/// failing, matching the replay parser's tolerant posture.
-pub fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('/') => out.push('/'),
-            Some('b') => out.push('\u{8}'),
-            Some('f') => out.push('\u{c}'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match (hex.len() == 4)
-                    .then(|| u32::from_str_radix(&hex, 16).ok())
-                    .flatten()
-                    .and_then(char::from_u32)
-                {
-                    Some(decoded) => out.push(decoded),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qprog_exec::trace::{EstimateSource, Phase};
+    use qprog_types::json::raw_field;
 
     #[test]
     fn events_encode_round_trippably() {
@@ -316,43 +227,6 @@ mod tests {
         assert_eq!(raw_field(&line, "from"), Some("build"));
         assert_eq!(raw_field(&line, "to"), Some("probe"));
         assert_eq!(raw_field(&line, "op_name"), None);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn escape_unescape_round_trips_control_chars_and_non_ascii() {
-        let cases = [
-            "plain",
-            "quote\" backslash\\ newline\n tab\t cr\r",
-            "\u{0}\u{1}\u{1f}",        // control chars → \u00XX
-            "héllo wörld — ünïcode ✓", // non-ASCII passes through raw
-            "emoji 🎯 and \u{7}bell",
-            "trailing backslash in source \\",
-        ];
-        for s in cases {
-            let escaped = escape(s);
-            assert_eq!(unescape(&escaped), s, "escaped: {escaped}");
-        }
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(unescape("\\u0041"), "A");
-        // Tolerant decoding: malformed escapes pass through, not panic.
-        assert_eq!(unescape("\\u12"), "\\u12");
-        assert_eq!(unescape("\\q"), "\\q");
-        assert_eq!(unescape("\\"), "\\");
-    }
-
-    #[test]
-    fn raw_field_handles_escaped_quotes_in_string_values() {
-        let line = "{\"seq\":0,\"op_name\":\"a\\\"b\\\\\",\"rows\":7}";
-        assert_eq!(raw_field(line, "op_name"), Some("a\\\"b\\\\"));
-        assert_eq!(unescape(raw_field(line, "op_name").unwrap()), "a\"b\\");
-        assert_eq!(raw_field(line, "rows"), Some("7"));
-        // An unterminated string yields None rather than garbage.
-        assert_eq!(raw_field("{\"op_name\":\"oops", "op_name"), None);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! refinements (never per tuple); this crate is the consumer side:
 //!
 //! - [`sinks`] — pluggable [`TraceSink`](qprog_exec::trace::TraceSink)s:
-//!   a lock-free bounded [`RingSink`](sinks::RingSink), a
-//!   [`JsonlSink`](sinks::JsonlSink) that streams events as JSON lines, a
-//!   human-readable [`StderrSink`](sinks::StderrSink), and a debug-mode
-//!   [`ValidatorSink`](sinks::ValidatorSink) that flags events violating
+//!   a lock-free bounded [`RingSink`], a
+//!   [`JsonlSink`] that streams events as JSON lines, a
+//!   human-readable [`StderrSink`], and a debug-mode
+//!   [`ValidatorSink`] that flags events violating
 //!   the progress model's invariants.
-//! - [`timeline`] — a [`TimelineRecorder`](timeline::TimelineRecorder)
+//! - [`timeline`] — a [`TimelineRecorder`]
 //!   that samples a query's [`ProgressTracker`](qprog_plan::ProgressTracker)
-//!   at a configurable cadence into a [`ProgressLog`](timeline::ProgressLog)
+//!   at a configurable cadence into a [`ProgressLog`]
 //!   of timestamped `(K_i, N_i, lo, hi)` trajectories, exportable as CSV
 //!   or JSON.
 //! - [`explain`] — an EXPLAIN ANALYZE renderer comparing actual
@@ -21,23 +21,23 @@
 //!   `getnext()` counts, phase wall-times, and estimator attribution).
 //! - [`replay`] — deterministic trace replay: parse the JSONL sink format
 //!   back into [`TraceEvent`](qprog_exec::trace::TraceEvent) streams
-//!   ([`ReplayedTrace`](replay::ReplayedTrace)) and re-drive any sink
+//!   ([`ReplayedTrace`]) and re-drive any sink
 //!   offline, so a production trace can be re-scored and debugged post-hoc.
 //! - [`scoring`] — paper-style progress-quality metrics
-//!   ([`ProgressScore`](scoring::ProgressScore)) from a live or replayed
+//!   ([`ProgressScore`]) from a live or replayed
 //!   trace: mean/max absolute error vs the retrospective oracle,
 //!   monotonicity violations, convergence point, per-estimator q-error
 //!   summaries.
-//! - [`health`] — a per-query [`HealthAnalyzer`](health::HealthAnalyzer)
+//! - [`health`] — a per-query [`HealthAnalyzer`]
 //!   consuming the live trace stream plus periodic work/ETA samples to
 //!   detect stalls, estimate drift/oscillation, and ETA volatility,
 //!   publishing typed `HealthTransition` events back onto the query's bus.
-//! - [`metrics_sink`] — a [`MetricsSink`](metrics_sink::MetricsSink)
+//! - [`metrics_sink`] — a [`MetricsSink`]
 //!   aggregating each query's events into a shared
 //!   [`qprog_metrics::Registry`]: fleet-wide tuple counts, phase activity,
 //!   refinement rates, and cross-query q-error histograms per estimator,
 //!   exposable in Prometheus text format.
-//! - [`spans`] — causal span trees ([`SpanTree`](spans::SpanTree))
+//! - [`spans`] — causal span trees ([`SpanTree`])
 //!   assembled from a query's events: typed service-lifecycle spans
 //!   (submit → queue-wait → dispatch attempts → finalize) merged with
 //!   operator/phase/worker/pipeline intervals derived from the standard
@@ -45,7 +45,7 @@
 //!   Perfetto / `chrome://tracing`.
 //! - [`corpus`] — a persistent, size-capped trace corpus: every traced
 //!   run's JSONL segment plus an indexed scorecard archived at terminal
-//!   time ([`CorpusSink`](corpus::CorpusSink)), with rolling median/MAD
+//!   time ([`CorpusSink`]), with rolling median/MAD
 //!   baselines per `(workload, estimator, threads)` that flag
 //!   progress-quality regressions as typed `RegressionDetected` events.
 //!

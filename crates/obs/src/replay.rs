@@ -10,7 +10,8 @@
 //! post-hoc, and the [`scoring`](crate::scoring) module computes quality
 //! metrics from the embedded `progress_sampled` snapshots. Replay is
 //! deterministic: events keep their recorded `seq`/`at_us` stamps and are
-//! fed to sinks directly — **not** through an [`EventBus`], which would
+//! fed to sinks directly — **not** through an
+//! [`EventBus`](qprog_exec::trace::EventBus), which would
 //! re-stamp them with wall-clock values.
 //!
 //! Parsing is line-oriented over the flat one-line objects produced by
@@ -26,7 +27,7 @@ use qprog_exec::trace::{
     TraceEvent, TraceEventKind, TraceSink,
 };
 
-use crate::json::{raw_field, unescape};
+use qprog_types::json::{raw_field, unescape};
 
 /// A parsed trace: the event stream plus whatever operator names the JSONL
 /// carried.
@@ -62,7 +63,7 @@ impl ReplayedTrace {
                             trace.op_names.resize(idx + 1, String::new());
                         }
                         if trace.op_names[idx].is_empty() {
-                            trace.op_names[idx] = unescape(name);
+                            trace.op_names[idx] = decode_or_raw(name);
                         }
                     }
                     trace.events.push(event);
@@ -111,6 +112,12 @@ fn op_index(kind: &TraceEventKind) -> Option<u32> {
         | TraceEventKind::SpanStart { .. }
         | TraceEventKind::SpanEnd { .. } => None,
     }
+}
+
+/// A string value's decoded text, or its raw text when it does not decode:
+/// replay is tolerant of malformed escapes rather than dropping the name.
+fn decode_or_raw(raw: &str) -> String {
+    unescape(raw).unwrap_or_else(|| raw.to_string())
 }
 
 fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
@@ -269,6 +276,14 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
 mod tests {
     use super::*;
     use crate::json::event_to_json;
+
+    #[test]
+    fn malformed_escapes_pass_through_verbatim() {
+        assert_eq!(decode_or_raw("\\u12"), "\\u12");
+        assert_eq!(decode_or_raw("\\q"), "\\q");
+        assert_eq!(decode_or_raw("\\"), "\\");
+        assert_eq!(decode_or_raw("a\\\"b"), "a\"b");
+    }
 
     /// NaN-tolerant event equality (NaN == NaN for round-trip purposes).
     fn kinds_equal(a: &TraceEventKind, b: &TraceEventKind) -> bool {

@@ -23,9 +23,10 @@
 //! Inputs: [`score_events`] consumes a trace (live ring or
 //! [`ReplayedTrace`](crate::replay::ReplayedTrace)) using its embedded
 //! `progress_sampled` snapshots; [`score_log`] consumes a
-//! [`ProgressLog`](crate::timeline::ProgressLog) from a timeline recorder.
+//! [`ProgressLog`] from a timeline recorder.
 
 use qprog_exec::trace::{EstimateSource, TraceEvent, TraceEventKind};
+use qprog_types::json::raw_field;
 
 use crate::explain::q_error;
 use crate::json::num;
@@ -110,7 +111,7 @@ impl ProgressScore {
     /// numerics decode as NaN and a `null` convergence as `None`.
     pub fn from_json(line: &str) -> Result<ProgressScore, String> {
         fn req<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-            crate::json::raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))
+            raw_field(line, key).ok_or_else(|| format!("missing field \"{key}\""))
         }
         fn usize_of(line: &str, key: &str) -> Result<usize, String> {
             req(line, key)?
@@ -410,11 +411,11 @@ mod tests {
     fn score_json_is_flat_and_parsable() {
         let s = score_samples(&pts(&[(0.5, 50), (1.0, 100)]), &[2.0]);
         let json = s.to_json();
-        assert_eq!(crate::json::raw_field(&json, "samples"), Some("2"));
-        assert_eq!(crate::json::raw_field(&json, "q_error_mean"), Some("2"));
-        assert_eq!(crate::json::raw_field(&json, "convergence"), Some("0"));
+        assert_eq!(raw_field(&json, "samples"), Some("2"));
+        assert_eq!(raw_field(&json, "q_error_mean"), Some("2"));
+        assert_eq!(raw_field(&json, "convergence"), Some("0"));
         let none = ProgressScore::default().to_json();
-        assert_eq!(crate::json::raw_field(&none, "convergence"), Some("null"));
+        assert_eq!(raw_field(&none, "convergence"), Some("null"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use qprog_exec::span::{SpanKind, NO_PARENT};
 use qprog_exec::trace::{Phase, TraceEvent, TraceEventKind};
 
-use crate::json::escape;
+use qprog_types::json::escape;
 
 /// Which Perfetto thread-track a span renders on. Tracks exist so that
 /// concurrently-active spans (two operators, two workers) never share a

@@ -1,7 +1,7 @@
 //! Progress timelines: periodic sampling of a running query's gnm state.
 //!
 //! A [`TimelineRecorder`] polls a query's
-//! [`ProgressTracker`](qprog_plan::ProgressTracker) — from the same thread
+//! [`ProgressTracker`] — from the same thread
 //! between batches, or from a dedicated monitor thread via
 //! [`TimelineRecorder::spawn`] — capturing a [`TimelinePoint`] per sample:
 //! the whole-query gnm fraction with its confidence bounds plus every
@@ -128,7 +128,7 @@ impl ProgressLog {
         let names: Vec<String> = self
             .op_names
             .iter()
-            .map(|n| format!("\"{}\"", crate::json::escape(n)))
+            .map(|n| format!("\"{}\"", qprog_types::json::escape(n)))
             .collect();
         let points: Vec<String> = self
             .points

@@ -25,6 +25,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use qprog_exec::sync::Mutex;
+use qprog_exec::trace::Lifecycle;
+use qprog_types::json::{escape, str_field, u64_field};
 
 /// Journal file name inside the service directory.
 pub const JOURNAL_FILE: &str = "queue.jsonl";
@@ -165,28 +167,21 @@ impl Journal {
     /// failpoint so chaos tests can fail the WAL itself.
     pub fn append_submit(&self, e: &PendingEntry) -> io::Result<()> {
         qprog_fault::eval("service/journal/append").map_err(io::Error::other)?;
-        let mut line = format!(
-            "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
-            e.id,
-            escape(&e.tenant),
-            escape(&e.label)
-        );
-        if let Some(d) = e.deadline {
-            line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
-        }
-        line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
+        let line = submit_line(e);
         let mut inner = self.inner.lock();
         inner.file.write_all(line.as_bytes())?;
         inner.file.flush()
     }
 
-    /// Record a terminal outcome for `id` (`finished` or a failure kind).
-    /// `wall_us` is the submit→terminal wall time on the job's span clock;
-    /// the reconciliation tests assert it equals the summed span durations.
-    pub fn append_terminal(&self, id: u64, state: &str, wall_us: u64) -> io::Result<()> {
+    /// Record `id`'s terminal state, under its
+    /// [`terminal_label`](Lifecycle::terminal_label) (`finished` or a
+    /// failure kind). `wall_us` is the submit→terminal wall time on the
+    /// job's span clock; the reconciliation tests assert it equals the
+    /// summed span durations.
+    pub fn append_terminal(&self, id: u64, state: Lifecycle, wall_us: u64) -> io::Result<()> {
         let line = format!(
             "{{\"op\":\"terminal\",\"id\":{id},\"state\":\"{}\",\"wall_us\":{wall_us}}}\n",
-            escape(state)
+            state.terminal_label()
         );
         let mut inner = self.inner.lock();
         inner.file.write_all(line.as_bytes())?;
@@ -218,22 +213,27 @@ impl std::fmt::Debug for Journal {
     }
 }
 
+/// One `submit` record, newline-terminated.
+fn submit_line(e: &PendingEntry) -> String {
+    let mut line = format!(
+        "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
+        e.id,
+        escape(&e.tenant),
+        escape(&e.label)
+    );
+    if let Some(d) = e.deadline {
+        line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
+    }
+    line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
+    line
+}
+
 fn rewrite(path: &Path, pending: &[PendingEntry]) -> io::Result<()> {
     let tmp = path.with_extension("jsonl.tmp");
     {
         let mut f = File::create(&tmp)?;
         for e in pending {
-            let mut line = format!(
-                "{{\"op\":\"submit\",\"id\":{},\"tenant\":\"{}\",\"label\":\"{}\"",
-                e.id,
-                escape(&e.tenant),
-                escape(&e.label)
-            );
-            if let Some(d) = e.deadline {
-                line.push_str(&format!(",\"deadline_ms\":{}", d.as_millis()));
-            }
-            line.push_str(&format!(",\"sql\":\"{}\"}}\n", escape(&e.sql)));
-            f.write_all(line.as_bytes())?;
+            f.write_all(submit_line(e).as_bytes())?;
         }
         f.flush()?;
     }
@@ -244,95 +244,19 @@ fn parse_line(line: &str) -> Result<Record, String> {
     if !line.starts_with('{') || !line.ends_with('}') {
         return Err("not a JSON object".to_string());
     }
-    let op = string_field(line, "op").ok_or("missing \"op\"")?;
+    let op = str_field(line, "op").ok_or("missing \"op\"")?;
     let id = u64_field(line, "id").ok_or("missing \"id\"")?;
     match op.as_str() {
         "submit" => Ok(Record::Submit(PendingEntry {
             id,
-            tenant: string_field(line, "tenant").ok_or("missing \"tenant\"")?,
-            label: string_field(line, "label").ok_or("missing \"label\"")?,
-            sql: string_field(line, "sql").ok_or("missing \"sql\"")?,
+            tenant: str_field(line, "tenant").ok_or("missing \"tenant\"")?,
+            label: str_field(line, "label").ok_or("missing \"label\"")?,
+            sql: str_field(line, "sql").ok_or("missing \"sql\"")?,
             deadline: u64_field(line, "deadline_ms").map(Duration::from_millis),
         })),
         "terminal" => Ok(Record::Terminal { id }),
         other => Err(format!("unknown op {other:?}")),
     }
-}
-
-/// JSON string escaping for journal values (quotes, backslashes, control
-/// characters). The inverse of [`unescape`].
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Extract string field `key` from a flat JSON object, handling escaped
-/// quotes inside the value (unlike `qprog_obs::json::raw_field`, which is
-/// only safe for pre-sanitized values — journal entries carry raw SQL).
-pub(crate) fn string_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return unescape(&line[start..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Extract numeric field `key` from a flat JSON object.
-pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -376,7 +300,7 @@ mod tests {
             j.append_submit(&entry(2, "select \"q\" from t where a='x'"))
                 .unwrap();
             j.append_submit(&entry(3, "line1\nline2\t\\end")).unwrap();
-            j.append_terminal(1, "finished", 1234).unwrap();
+            j.append_terminal(1, Lifecycle::Done, 1234).unwrap();
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert!(replay.diagnostics.is_empty(), "{:?}", replay.diagnostics);
@@ -442,7 +366,7 @@ mod tests {
         for id in 1..=20 {
             j.append_submit(&entry(id, "select 1")).unwrap();
             if id <= 18 {
-                j.append_terminal(id, "finished", id * 10).unwrap();
+                j.append_terminal(id, Lifecycle::Done, id * 10).unwrap();
             }
         }
         assert_eq!(j.terminal_count(), 18);
@@ -450,17 +374,9 @@ mod tests {
         j.compact(&live).unwrap();
         assert_eq!(j.terminal_count(), 0);
         // post-compaction appends land after the rewritten records
-        j.append_terminal(19, "finished", 42).unwrap();
+        j.append_terminal(19, Lifecycle::Done, 42).unwrap();
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.pending, vec![entry(20, "select 1")]);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn string_field_handles_escapes() {
-        let line = "{\"op\":\"submit\",\"sql\":\"a \\\"b\\\" \\\\ c\",\"id\":7}";
-        assert_eq!(string_field(line, "sql").unwrap(), "a \"b\" \\ c");
-        assert_eq!(u64_field(line, "id"), Some(7));
-        assert_eq!(string_field(line, "missing"), None);
     }
 }

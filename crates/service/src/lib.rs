@@ -37,8 +37,7 @@ pub mod spans;
 pub use journal::{Journal, PendingEntry, Replay, JOURNAL_FILE};
 pub use queue::{AdmissionConfig, JobSpec, RejectReason};
 pub use service::{
-    CancelOutcome, JobExecutor, JobOutcome, JobState, JobStatus, LocalIds, QueryService,
-    RetryPolicy, ServiceConfig, ServiceStats, StatusObserver, SubmitError, SubmitRequest, Ticket,
-    MAX_SQL_BYTES,
+    CancelOutcome, JobExecutor, JobOutcome, JobStatus, LocalIds, QueryService, RetryPolicy,
+    ServiceConfig, ServiceStats, StatusObserver, SubmitError, SubmitRequest, Ticket, MAX_SQL_BYTES,
 };
 pub use spans::{SpanLog, SpanTotals};

@@ -12,6 +12,15 @@
 //!            Err other (cancelled / deadline / budget / error) → terminal failed
 //! ```
 //!
+//! Each job's state is a [`Lifecycle`], moved only through
+//! [`Lifecycle::transition`]; the service makes these moves:
+//!
+//! - `Queued → Running` (dispatch) and `Running → Done` (success);
+//! - `Queued/Running/Retrying → Retrying` (a transient failure, including a
+//!   fault at dispatch before the job ever ran) and `Retrying → Running`;
+//! - `Queued/Running/Retrying → Failed` (a permanent failure, a
+//!   cancellation, a queue deadline, or drain).
+//!
 //! Every terminal is journaled, reported to the [`StatusObserver`] (which
 //! the monitor bridges onto the progress directory and SSE hub), and
 //! counted; the journal guarantees that anything accepted but not terminal
@@ -28,13 +37,14 @@ use std::time::{Duration, Instant};
 use qprog_exec::governor::CancellationToken;
 use qprog_exec::span::SpanKind;
 use qprog_exec::sync::Mutex;
-use qprog_exec::trace::TraceEvent;
+use qprog_exec::trace::{AbortKind, Lifecycle, TraceEvent};
 use qprog_metrics::{Counter, Gauge, Histogram, Registry};
-use qprog_types::{ExecError, QError};
+use qprog_types::json::escape;
+use qprog_types::QError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::journal::{escape, Journal, PendingEntry};
+use crate::journal::{Journal, PendingEntry};
 use crate::queue::{AdmissionConfig, JobSpec, Pop, ReadyQueue, RejectReason};
 use crate::spans::{SpanLog, SpanTotals};
 
@@ -181,38 +191,6 @@ pub struct Ticket {
     pub queue_depth: usize,
 }
 
-/// Lifecycle state of a tracked submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Accepted, waiting for a worker.
-    Queued,
-    /// Executing.
-    Running,
-    /// Failed transiently; parked for backoff.
-    Retrying,
-    /// Completed successfully.
-    Finished,
-    /// Reached a failure terminal.
-    Failed,
-}
-
-impl JobState {
-    /// Stable lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Retrying => "retrying",
-            JobState::Finished => "finished",
-            JobState::Failed => "failed",
-        }
-    }
-
-    fn is_terminal(self) -> bool {
-        matches!(self, JobState::Finished | JobState::Failed)
-    }
-}
-
 /// Terminal outcome of a submission.
 #[derive(Debug, Clone)]
 pub enum JobOutcome {
@@ -223,20 +201,19 @@ pub enum JobOutcome {
     },
     /// The query terminated without completing.
     Failed {
-        /// Typed failure kind: `cancelled`, `deadline`, `budget`, `panic`,
-        /// `injected`, or `error`.
-        kind: &'static str,
+        /// Typed failure kind.
+        kind: AbortKind,
         /// Human-readable detail.
         detail: String,
     },
 }
 
 impl JobOutcome {
-    /// The journal/state label for this outcome.
-    pub fn label(&self) -> &'static str {
+    /// The terminal lifecycle state this outcome puts the job in.
+    pub fn lifecycle(&self) -> Lifecycle {
         match self {
-            JobOutcome::Finished { .. } => "finished",
-            JobOutcome::Failed { kind, .. } => kind,
+            JobOutcome::Finished { .. } => Lifecycle::Done,
+            JobOutcome::Failed { kind, .. } => Lifecycle::Failed(*kind),
         }
     }
 }
@@ -250,15 +227,13 @@ pub struct JobStatus {
     pub tenant: String,
     /// Display label.
     pub label: String,
-    /// Lifecycle state.
-    pub state: JobState,
+    /// Lifecycle state (its [`Lifecycle::failure`] is the failure kind).
+    pub state: Lifecycle,
     /// Execution attempts started so far.
     pub attempts: u32,
     /// Rows produced (terminal successes only).
     pub rows: Option<u64>,
-    /// Failure kind, when `state == Failed`.
-    pub failure: Option<&'static str>,
-    /// Failure detail, when `state == Failed`.
+    /// Failure detail, when the job failed.
     pub detail: Option<String>,
 }
 
@@ -267,8 +242,9 @@ pub struct JobStatus {
 pub enum CancelOutcome {
     /// The job was still queued/delayed; it is now terminal `cancelled`.
     CancelledQueued,
-    /// The job was running; its cancellation token fired and the run will
-    /// reach a `cancelled` terminal shortly.
+    /// A worker had the job (running, or being dispatched); its
+    /// cancellation token fired and the job will reach a `cancelled`
+    /// terminal shortly.
     SignalledRunning,
     /// The job already reached a terminal state.
     AlreadyTerminal,
@@ -316,7 +292,7 @@ pub trait StatusObserver: Send + Sync {
     }
 
     /// The job failed transiently and was parked for `backoff`.
-    fn on_retrying(&self, job: &JobSpec, kind: &'static str, backoff: Duration) {
+    fn on_retrying(&self, job: &JobSpec, kind: AbortKind, backoff: Duration) {
         let _ = (job, kind, backoff);
     }
 
@@ -485,10 +461,13 @@ struct TenantSlo {
 
 struct JobRecord {
     spec: JobSpec,
-    state: JobState,
+    state: Lifecycle,
+    /// Created at acceptance, so a cancel reaches the job in every
+    /// non-terminal state — including between a worker's pop and the
+    /// executor call.
+    cancel: CancellationToken,
     attempts: u32,
     rows: Option<u64>,
-    failure: Option<&'static str>,
     detail: Option<String>,
     /// Lifecycle span log; appended only under the state lock.
     spans: SpanLog,
@@ -499,12 +478,21 @@ struct JobRecord {
     backoff_ready_us: Option<u64>,
 }
 
+impl JobRecord {
+    /// Apply a lifecycle move; an illegal one is a service bug.
+    fn advance(&mut self, to: Lifecycle) {
+        match self.state.transition(to) {
+            Ok(next) => self.state = next,
+            Err(e) => debug_assert!(false, "job {}: {e}", self.spec.id),
+        }
+    }
+}
+
 #[derive(Default)]
 struct SvcState {
     jobs: std::collections::BTreeMap<u64, JobRecord>,
     tenant_inflight: std::collections::BTreeMap<String, usize>,
     tenant_slo: std::collections::BTreeMap<String, TenantSlo>,
-    cancels: std::collections::BTreeMap<u64, CancellationToken>,
     terminal_order: std::collections::VecDeque<u64>,
 }
 
@@ -771,10 +759,10 @@ impl QueryService {
             spec.id,
             JobRecord {
                 spec: spec.clone(),
-                state: JobState::Queued,
+                state: Lifecycle::Queued,
+                cancel: CancellationToken::new(),
                 attempts: 0,
                 rows: None,
-                failure: None,
                 detail: None,
                 spans,
                 backoff_ready_us: None,
@@ -794,7 +782,6 @@ impl QueryService {
             state: r.state,
             attempts: r.attempts,
             rows: r.rows,
-            failure: r.failure,
             detail: r.detail.clone(),
         })
     }
@@ -802,41 +789,26 @@ impl QueryService {
     /// Request cancellation of a submission.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
         let mut state = self.state.lock();
-        let current = match state.jobs.get(&id) {
+        let token = match state.jobs.get(&id) {
             None => return CancelOutcome::Unknown,
             Some(r) if r.state.is_terminal() => return CancelOutcome::AlreadyTerminal,
-            Some(r) => r.state,
+            Some(r) => r.cancel.clone(),
         };
-        match current {
-            JobState::Queued | JobState::Retrying => {
-                if let Some(spec) = self.queue.remove(id) {
-                    self.finish_locked(
-                        &mut state,
-                        &spec,
-                        JobOutcome::Failed {
-                            kind: "cancelled",
-                            detail: "cancelled by client while queued".to_string(),
-                        },
-                    );
-                    drop(state);
-                    self.refresh_depth();
-                    return CancelOutcome::CancelledQueued;
-                }
-                // Raced with a worker pop: fall through to signalling.
-                if let Some(token) = state.cancels.get(&id) {
-                    token.cancel();
-                    return CancelOutcome::SignalledRunning;
-                }
-                CancelOutcome::AlreadyTerminal
-            }
-            JobState::Running => {
-                if let Some(token) = state.cancels.get(&id) {
-                    token.cancel();
-                }
-                CancelOutcome::SignalledRunning
-            }
-            _ => CancelOutcome::AlreadyTerminal,
+        if let Some(spec) = self.queue.remove(id) {
+            self.finish_locked(
+                &mut state,
+                &spec,
+                JobOutcome::Failed {
+                    kind: AbortKind::Cancelled,
+                    detail: "cancelled by client while queued".to_string(),
+                },
+            );
+            drop(state);
+            self.refresh_depth();
+            return CancelOutcome::CancelledQueued;
         }
+        token.cancel();
+        CancelOutcome::SignalledRunning
     }
 
     /// Counters snapshot.
@@ -958,15 +930,14 @@ impl QueryService {
                 &mut state,
                 &job,
                 JobOutcome::Failed {
-                    kind: "cancelled",
+                    kind: AbortKind::Cancelled,
                     detail: "service draining".to_string(),
                 },
             );
         }
-        {
-            let state = self.state.lock();
-            for token in state.cancels.values() {
-                token.cancel();
+        for r in self.state.lock().jobs.values() {
+            if !r.state.is_terminal() {
+                r.cancel.cancel();
             }
         }
         let grace = Instant::now() + Duration::from_secs(2);
@@ -1024,7 +995,7 @@ impl QueryService {
                     self.finish(
                         &job,
                         JobOutcome::Failed {
-                            kind: "deadline",
+                            kind: AbortKind::DeadlineExceeded,
                             detail: format!(
                                 "deadline ({}ms) expired after {}ms in queue",
                                 d.as_millis(),
@@ -1042,32 +1013,44 @@ impl QueryService {
             self.handle_failure(job, &e);
             return;
         }
-        let token = CancellationToken::new();
-        {
+        let token = {
             let mut state = self.state.lock();
-            if let Some(r) = state.jobs.get_mut(&job.id) {
-                r.state = JobState::Running;
-                r.attempts = job.attempt + 1;
-                let now = r.spans.now_us();
-                if let Some(ready) = r.backoff_ready_us.take() {
-                    // The park ended at its scheduled ready time; the
-                    // stretch from ready to this pop is queue wait for the
-                    // retry attempt.
-                    let ready = ready.min(now);
-                    r.spans.pop_at(ready);
-                    r.spans.push_at(ready, SpanKind::QueueWait, job.attempt);
-                }
-                r.spans.pop_at(now);
-                r.spans.push_at(now, SpanKind::Dispatch, job.attempt);
+            let r = state
+                .jobs
+                .get_mut(&job.id)
+                .expect("a job keeps its record until it is terminal");
+            if r.cancel.is_cancelled() {
+                // Cancelled after the pop, before the executor ran.
+                self.finish_locked(
+                    &mut state,
+                    &job,
+                    JobOutcome::Failed {
+                        kind: AbortKind::Cancelled,
+                        detail: "cancelled by client before dispatch".to_string(),
+                    },
+                );
+                return;
             }
-            state.cancels.insert(job.id, token.clone());
-        }
+            r.advance(Lifecycle::Running);
+            r.attempts = job.attempt + 1;
+            let now = r.spans.now_us();
+            if let Some(ready) = r.backoff_ready_us.take() {
+                // The park ended at its scheduled ready time; the stretch
+                // from ready to this pop is queue wait for the retry
+                // attempt.
+                let ready = ready.min(now);
+                r.spans.pop_at(ready);
+                r.spans.push_at(ready, SpanKind::QueueWait, job.attempt);
+            }
+            r.spans.pop_at(now);
+            r.spans.push_at(now, SpanKind::Dispatch, job.attempt);
+            r.cancel.clone()
+        };
         self.running.fetch_add(1, Ordering::Relaxed);
         self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
         self.observer.on_dispatched(&job);
         let result = self.executor.execute(&job, token, remaining);
         self.running.fetch_sub(1, Ordering::Relaxed);
-        self.state.lock().cancels.remove(&job.id);
         match result {
             Ok(rows) => self.finish(&job, JobOutcome::Finished { rows }),
             Err(e) => self.handle_failure(job, &e),
@@ -1075,9 +1058,9 @@ impl QueryService {
     }
 
     fn handle_failure(&self, job: JobSpec, err: &QError) {
-        let (kind, retryable) = classify(err);
+        let kind = AbortKind::from_error(err);
         let attempts_done = job.attempt + 1;
-        let may_retry = retryable
+        let may_retry = kind.is_transient()
             && attempts_done < self.cfg.retry.max_attempts
             && !self.stop.load(Ordering::Acquire)
             && self.admitting.load(Ordering::Acquire);
@@ -1100,7 +1083,7 @@ impl QueryService {
             {
                 let mut state = self.state.lock();
                 if let Some(r) = state.jobs.get_mut(&job.id) {
-                    r.state = JobState::Retrying;
+                    r.advance(Lifecycle::Retrying(kind));
                     // Close the dispatch attempt (or the still-open queue
                     // wait, when dispatch itself failpointed) and open the
                     // backoff park, recording its scheduled end.
@@ -1137,35 +1120,32 @@ impl QueryService {
         // bookkeeping, and the root's end is the single wall-time stamp
         // the journal records — so summed child durations reconcile with
         // the journal's wall time exactly.
-        let mut wall_us = job.submitted.elapsed().as_micros() as u64;
-        let mut totals = SpanTotals::default();
-        let mut was_running = false;
-        if let Some(r) = state.jobs.get_mut(&job.id) {
-            was_running = r.state == JobState::Running;
-            r.backoff_ready_us = None;
-            let t0 = r.spans.now_us();
-            r.spans.close_children(t0);
-            r.spans.push_at(t0, SpanKind::Finalize, 0);
-            match &outcome {
-                JobOutcome::Finished { rows } => {
-                    r.state = JobState::Finished;
-                    r.rows = Some(*rows);
-                }
-                JobOutcome::Failed { kind, detail } => {
-                    r.state = JobState::Failed;
-                    r.failure = Some(kind);
-                    r.detail = Some(detail.clone());
-                }
-            }
-            let t_term = r.spans.now_us();
-            r.spans.close_all(t_term);
-            wall_us = t_term;
-            totals = r.spans.totals();
+        //
+        // A job ends once: a second terminal is a service bug, and must not
+        // write a second journal line or call the observer twice.
+        let Some(r) = state
+            .jobs
+            .get_mut(&job.id)
+            .filter(|r| !r.state.is_terminal())
+        else {
+            debug_assert!(false, "second terminal for job {}", job.id);
+            return;
+        };
+        let terminal = outcome.lifecycle();
+        let was_running = r.state == Lifecycle::Running;
+        r.backoff_ready_us = None;
+        let t0 = r.spans.now_us();
+        r.spans.close_children(t0);
+        r.spans.push_at(t0, SpanKind::Finalize, 0);
+        r.advance(terminal);
+        match &outcome {
+            JobOutcome::Finished { rows } => r.rows = Some(*rows),
+            JobOutcome::Failed { detail, .. } => r.detail = Some(detail.clone()),
         }
-        if let Err(e) = self
-            .journal
-            .append_terminal(job.id, outcome.label(), wall_us)
-        {
+        let wall_us = r.spans.now_us();
+        r.spans.close_all(wall_us);
+        let totals = r.spans.totals();
+        if let Err(e) = self.journal.append_terminal(job.id, terminal, wall_us) {
             // Completion is still reported; after a crash the job may be
             // re-dispatched (at-least-once on journal IO failure).
             self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -1175,13 +1155,7 @@ impl QueryService {
             JobOutcome::Finished { .. } => self.counters.finished.fetch_add(1, Ordering::Relaxed),
             JobOutcome::Failed { .. } => self.counters.failed.fetch_add(1, Ordering::Relaxed),
         };
-        let deadline_missed = matches!(
-            &outcome,
-            JobOutcome::Failed {
-                kind: "deadline",
-                ..
-            }
-        );
+        let deadline_missed = terminal == Lifecycle::Failed(AbortKind::DeadlineExceeded);
         let miss_location = if was_running { "exec" } else { "queue" };
         {
             let slo = state.tenant_slo.entry(job.tenant.clone()).or_default();
@@ -1275,20 +1249,6 @@ impl std::fmt::Debug for QueryService {
         f.debug_struct("QueryService")
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-/// Map an execution error to its typed terminal kind and retryability.
-/// Injected faults and operator panics are transient (retryable);
-/// cancellation, deadline expiry, and budget breaches are deliberate.
-fn classify(e: &QError) -> (&'static str, bool) {
-    match e.lifecycle() {
-        Some(ExecError::Injected(_)) => ("injected", true),
-        Some(ExecError::OperatorPanic(_)) => ("panic", true),
-        Some(ExecError::Cancelled) => ("cancelled", false),
-        Some(ExecError::DeadlineExceeded) => ("deadline", false),
-        Some(ExecError::BudgetExceeded(_)) => ("budget", false),
-        None => ("error", false),
     }
 }
 
@@ -1410,7 +1370,7 @@ mod tests {
         let s = svc(&dir, exec.clone(), ServiceConfig::default());
         let t = s.submit(req("select 1", "acme")).unwrap();
         let st = wait_terminal(&s, t.id);
-        assert_eq!(st.state, JobState::Finished);
+        assert_eq!(st.state, Lifecycle::Done);
         assert_eq!(st.rows, Some(7));
         assert_eq!(st.attempts, 1);
         assert_eq!(exec.executed(), vec![t.id]);
@@ -1497,7 +1457,7 @@ mod tests {
         let s = svc(&dir, exec.clone(), cfg);
         let t = s.submit(req("select 1", "acme")).unwrap();
         let st = wait_terminal(&s, t.id);
-        assert_eq!(st.state, JobState::Finished);
+        assert_eq!(st.state, Lifecycle::Done);
         assert_eq!(st.attempts, 3);
         assert_eq!(exec.executed().len(), 3);
         assert_eq!(s.stats().retries, 2);
@@ -1521,8 +1481,8 @@ mod tests {
         let s = svc(&dir, exec.clone(), cfg);
         let t = s.submit(req("select 1", "acme")).unwrap();
         let st = wait_terminal(&s, t.id);
-        assert_eq!(st.state, JobState::Failed);
-        assert_eq!(st.failure, Some("panic"));
+        assert!(matches!(st.state, Lifecycle::Failed(_)));
+        assert_eq!(st.state.failure(), Some(AbortKind::OperatorPanic));
         assert_eq!(exec.executed().len(), 2);
         s.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1531,17 +1491,20 @@ mod tests {
     #[test]
     fn deliberate_terminations_never_retry() {
         for (mk, kind) in [
-            (QError::cancelled as fn() -> QError, "cancelled"),
-            (|| QError::budget_exceeded("rows"), "budget"),
-            (QError::deadline_exceeded, "deadline"),
+            (QError::cancelled as fn() -> QError, AbortKind::Cancelled),
+            (
+                || QError::budget_exceeded("rows"),
+                AbortKind::BudgetExceeded,
+            ),
+            (QError::deadline_exceeded, AbortKind::DeadlineExceeded),
         ] {
             let dir = tmpdir("noretry");
             let exec = MockExec::failing(99, mk);
             let s = svc(&dir, exec.clone(), ServiceConfig::default());
             let t = s.submit(req("select 1", "acme")).unwrap();
             let st = wait_terminal(&s, t.id);
-            assert_eq!(st.state, JobState::Failed);
-            assert_eq!(st.failure, Some(kind));
+            assert!(matches!(st.state, Lifecycle::Failed(_)));
+            assert_eq!(st.state.failure(), Some(kind));
             assert_eq!(exec.executed().len(), 1, "{kind} must not retry");
             s.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
@@ -1572,8 +1535,8 @@ mod tests {
             })
             .unwrap();
         let st = wait_terminal(&s, doomed.id);
-        assert_eq!(st.state, JobState::Failed);
-        assert_eq!(st.failure, Some("deadline"));
+        assert!(matches!(st.state, Lifecycle::Failed(_)));
+        assert_eq!(st.state.failure(), Some(AbortKind::DeadlineExceeded));
         assert!(st.detail.unwrap().contains("in queue"));
         wait_terminal(&s, blocker.id);
         assert_eq!(exec.executed(), vec![blocker.id], "doomed job never ran");
@@ -1598,8 +1561,8 @@ mod tests {
         let t = s.submit(req("select 1", "acme")).unwrap();
         assert_eq!(s.cancel(t.id), CancelOutcome::CancelledQueued);
         let st = s.status(t.id).unwrap();
-        assert_eq!(st.state, JobState::Failed);
-        assert_eq!(st.failure, Some("cancelled"));
+        assert!(matches!(st.state, Lifecycle::Failed(_)));
+        assert_eq!(st.state.failure(), Some(AbortKind::Cancelled));
         assert_eq!(s.cancel(t.id), CancelOutcome::AlreadyTerminal);
         assert_eq!(s.cancel(999_999), CancelOutcome::Unknown);
         assert!(exec.executed().is_empty(), "cancelled before dispatch");
@@ -1622,7 +1585,7 @@ mod tests {
         }
         assert_eq!(s.cancel(t.id), CancelOutcome::SignalledRunning);
         let st = wait_terminal(&s, t.id);
-        assert_eq!(st.failure, Some("cancelled"));
+        assert_eq!(st.state.failure(), Some(AbortKind::Cancelled));
         s.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1653,7 +1616,7 @@ mod tests {
         .unwrap();
         for &id in &staged {
             let st = wait_terminal(&s, id);
-            assert_eq!(st.state, JobState::Finished, "job {id}");
+            assert_eq!(st.state, Lifecycle::Done, "job {id}");
         }
         let mut executed = exec.executed();
         executed.sort_unstable();
@@ -1681,8 +1644,8 @@ mod tests {
         s.drain();
         for id in ids {
             let st = s.status(id).unwrap();
-            assert_eq!(st.state, JobState::Failed);
-            assert_eq!(st.failure, Some("cancelled"));
+            assert!(matches!(st.state, Lifecycle::Failed(_)));
+            assert_eq!(st.state.failure(), Some(AbortKind::Cancelled));
         }
         assert!(matches!(
             s.submit(req("select 1", "t")),

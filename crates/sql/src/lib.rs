@@ -14,8 +14,8 @@
 //!
 //! Pipeline of a query: [`lexer`] → [`parser`] (AST in [`ast`]) →
 //! [`binder`] (name resolution against a
-//! [`PlanBuilder`](qprog_plan::PlanBuilder) catalog, producing a
-//! [`LogicalPlan`](qprog_plan::LogicalPlan)).
+//! [`PlanBuilder`] catalog, producing a
+//! [`LogicalPlan`]).
 
 pub mod ast;
 pub mod binder;

@@ -41,7 +41,7 @@ pub enum QError {
 /// [`QError::Lifecycle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The query's [`CancellationToken`] was triggered.
+    /// The query's `CancellationToken` was triggered.
     Cancelled,
     /// The wall-clock deadline attached to the query elapsed.
     DeadlineExceeded,

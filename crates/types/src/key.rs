@@ -2,7 +2,7 @@
 //!
 //! The estimation framework maintains exact frequency histograms keyed by
 //! attribute value (the `N_i` counts of the paper). [`Key`] is the subset of
-//! [`Value`](crate::Value) that supports sound hashing and equality, plus a
+//! [`Value`] that supports sound hashing and equality, plus a
 //! compact composite form for multi-column keys.
 
 use std::fmt;

@@ -3,13 +3,15 @@
 //! This crate defines the dynamically typed [`Value`], the [`Row`] tuple
 //! representation flowing between operators, [`Schema`]/[`Field`] metadata,
 //! the hashable/equatable [`Key`] used for join and grouping attributes, and
-//! the crate-wide [`QError`]/[`QResult`] error types.
+//! the crate-wide [`QError`]/[`QResult`] error types, plus the workspace's
+//! one JSON string codec ([`json`]).
 //!
 //! It deliberately has no dependencies: everything above it (storage,
 //! execution, planning, the estimation framework) builds on these types.
 
 pub mod batch;
 pub mod error;
+pub mod json;
 pub mod key;
 pub mod row;
 pub mod schema;

@@ -79,10 +79,11 @@ pub mod prelude {
     pub use qprog_core::EstimationMode;
     pub use qprog_exec::governor::{Budgets, CancellationToken, Governor};
     pub use qprog_exec::trace::{
-        AbortKind, DegradeReason, EventBus, HealthReason, HealthState, TraceEvent, TraceSink,
+        AbortKind, DegradeReason, EventBus, HealthReason, HealthState, Lifecycle, TraceEvent,
+        TraceSink,
     };
     pub use qprog_metrics::Registry;
-    pub use qprog_monitor::{MonitorServer, QueryState, StreamHub, StreamNext};
+    pub use qprog_monitor::{MonitorServer, StreamHub, StreamNext};
     pub use qprog_obs::{
         explain_analyze, ArchivedRun, Corpus, CorpusConfig, HealthAnalyzer, HealthConfig,
         JsonlSink, MetricsSink, ProgressLog, RegressionConfig, RingSink, RunMeta, RunRecord,
@@ -91,8 +92,8 @@ pub mod prelude {
     pub use qprog_plan::builder::PlanBuilder;
     pub use qprog_plan::physical::PhysicalOptions;
     pub use qprog_service::{
-        AdmissionConfig, CancelOutcome, JobState, JobStatus, QueryService, RetryPolicy,
-        ServiceConfig, SubmitError, SubmitRequest, Ticket,
+        AdmissionConfig, CancelOutcome, JobStatus, QueryService, RetryPolicy, ServiceConfig,
+        SubmitError, SubmitRequest, Ticket,
     };
     pub use qprog_storage::{Catalog, Table};
     pub use qprog_types::{DataType, ExecError, Field, Key, QError, QResult, Row, Schema, Value};

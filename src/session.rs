@@ -7,9 +7,9 @@ use std::time::Duration;
 use qprog_core::gnm::ProgressSnapshot;
 use qprog_exec::governor::CancellationToken;
 use qprog_exec::trace::HealthState;
-use qprog_exec::trace::{EventBus, TraceEvent, TraceSink};
+use qprog_exec::trace::{EventBus, Lifecycle, TraceEvent, TraceSink};
 use qprog_metrics::Registry;
-use qprog_monitor::{MonitorServer, MonitoredQuery, PhaseSink, QueryState};
+use qprog_monitor::{MonitorServer, MonitoredQuery, PhaseSink};
 use qprog_obs::{
     ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, RunMeta,
 };
@@ -648,17 +648,17 @@ impl QueryHandle {
     }
 
     /// The query's lifecycle state. Terminal failure reasons are observed
-    /// through trace events, so `Failed{..}` is reported when the session
+    /// through trace events, so `Failed(..)` is reported when the session
     /// has a monitor attached (the same view `/progress` serves);
     /// otherwise the state derives from progress alone.
-    pub fn state(&self) -> QueryState {
+    pub fn state(&self) -> Lifecycle {
         match &self.phases {
             Some(p) => p.state(),
             None => {
                 if self.compiled.tracker().snapshot().is_complete() {
-                    QueryState::Done
+                    Lifecycle::Done
                 } else {
-                    QueryState::Running
+                    Lifecycle::Running
                 }
             }
         }
@@ -916,7 +916,7 @@ mod tests {
             start.elapsed() < Duration::from_millis(500),
             "watcher failed to exit promptly on cancel"
         );
-        assert_eq!(h.state(), QueryState::Running, "no terminal event yet");
+        assert_eq!(h.state(), Lifecycle::Running, "no terminal event yet");
     }
 
     #[test]
@@ -960,7 +960,7 @@ mod tests {
         let id = h.query_id().unwrap();
         h.cancel();
         assert!(h.collect().is_err());
-        assert!(matches!(h.state(), QueryState::Failed(_)));
+        assert!(matches!(h.state(), Lifecycle::Failed(_)));
         let detail = http_get(server.addr(), &format!("/progress/{id}"));
         assert!(detail.contains("\"state\":\"failed\""), "{detail}");
         assert!(detail.contains("\"failure\":\"cancelled\""), "{detail}");

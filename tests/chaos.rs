@@ -185,7 +185,7 @@ mod faulted {
         let id = h.query_id().unwrap();
         let err = h.collect().unwrap_err();
         assert_eq!(err.lifecycle().map(ExecError::kind), Some("injected"));
-        assert!(matches!(h.state(), QueryState::Failed(AbortKind::Injected)));
+        assert!(matches!(h.state(), Lifecycle::Failed(AbortKind::Injected)));
         let detail = http_get(server.addr(), &format!("/progress/{id}")).unwrap();
         assert!(detail.contains("\"state\":\"failed\""), "{detail}");
         assert!(detail.contains("\"failure\":\"injected\""), "{detail}");
@@ -206,9 +206,12 @@ mod faulted {
         assert_eq!(err.lifecycle().map(ExecError::kind), Some("panic"));
         assert!(err.to_string().contains("chaos"), "{err}");
         // The process survived; the same session keeps serving queries.
-        drop(scenario);
+        // The follow-up query runs with faults cleared but the scenario
+        // still held, so its scan cannot consume another test's faults.
+        fault::teardown();
         let mut h2 = session.query("SELECT * FROM nation").unwrap();
         assert_eq!(h2.collect().unwrap().len(), 500);
+        drop(scenario);
     }
 
     #[test]
@@ -364,10 +367,12 @@ mod faulted {
         assert_eq!(err.lifecycle().map(ExecError::kind), Some("panic"));
         assert!(err.to_string().contains("worker chaos"), "{err}");
         assert!(!h.tracker().snapshot().is_complete());
-        // The process survived: the same session keeps serving queries.
-        drop(scenario);
+        // The process survived: the same session keeps serving queries
+        // (faults cleared, scenario still held, as above).
+        fault::teardown();
         let mut h2 = session.query("SELECT * FROM nation").unwrap();
         assert_eq!(h2.collect().unwrap().len(), 500);
+        drop(scenario);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use qprog::prelude::*;
+use qprog::types::json::raw_field;
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -37,21 +38,13 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
     (raw[..split].to_string(), raw[split + 4..].to_string())
 }
 
-/// Extract the first `"key":<number>` from a JSON string (the monitor's
-/// JSON is flat enough that a textual probe is unambiguous for top-level
+/// The first `"key":<number>` in a JSON string (the monitor's JSON is flat
+/// enough that the textual field reader is unambiguous for top-level
 /// summary keys).
 fn json_num(json: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {json}"));
-    let rest = &json[at + pat.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|_| panic!("bad number for {key}: {rest}"))
+    let raw = raw_field(json, key).unwrap_or_else(|| panic!("no {key} in {json}"));
+    raw.parse()
+        .unwrap_or_else(|_| panic!("bad number for {key}: {raw}"))
 }
 
 /// Minimal Prometheus text-format check: every sample line is

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use qprog::prelude::*;
 use qprog::svc::AdmissionConfig;
+use qprog::types::json::{escape, u64_field};
 use qprog::ServiceRuntime;
 
 fn catalog() -> Catalog {
@@ -76,10 +77,7 @@ fn get(addr: SocketAddr, path: &str) -> String {
 }
 
 fn submit(addr: SocketAddr, tenant: &str, sql: &str) -> (u16, String) {
-    let body = format!(
-        "{{\"sql\":\"{}\",\"tenant\":\"{tenant}\"}}",
-        sql.replace('"', "\\\"")
-    );
+    let body = format!("{{\"sql\":\"{}\",\"tenant\":\"{tenant}\"}}", escape(sql));
     let out = http(addr, "POST", "/submit", &body);
     let status: u16 = out
         .split_whitespace()
@@ -88,15 +86,6 @@ fn submit(addr: SocketAddr, tenant: &str, sql: &str) -> (u16, String) {
         .unwrap_or(0);
     let body = out.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
     (status, body)
-}
-
-fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let at = body.find(&format!("\"{key}\":"))?;
-    let rest = &body[at + key.len() + 3..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Poll `/progress/{id}` until `pred` matches (or fail after `timeout`).
@@ -136,7 +125,7 @@ fn submitted_query_runs_to_done_visible_over_http_and_sse() {
 
     let (status, body) = submit(addr, "acme", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").expect("ticket id");
+    let id = u64_field(&body, "id").expect("ticket id");
 
     let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
         d.contains("\"state\":\"done\"")
@@ -185,7 +174,7 @@ fn span_tree_is_gapless_and_reconciles_with_the_journal_wall_time() {
 
     let (status, body) = submit(addr, "acme", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").expect("ticket id");
+    let id = u64_field(&body, "id").expect("ticket id");
     await_progress(addr, id, Duration::from_secs(10), |d| {
         d.contains("\"state\":\"done\"")
     });
@@ -218,7 +207,7 @@ fn span_tree_is_gapless_and_reconciles_with_the_journal_wall_time() {
     let wall = journal
         .lines()
         .filter(|l| l.contains("\"op\":\"terminal\"") && l.contains(&format!("\"id\":{id},")))
-        .filter_map(|l| field_u64(l, "wall_us"))
+        .filter_map(|l| u64_field(l, "wall_us"))
         .next_back()
         .expect("terminal journal record with wall_us");
     let diff = wall.abs_diff(totals.total_us) as f64;
@@ -314,7 +303,7 @@ fn cancel_over_http_reaches_a_cancelled_terminal() {
     let runtime = ServiceRuntime::start(session, &dir, cfg).unwrap();
     let (status, body) = submit(addr, "t", JOIN_SQL);
     assert_eq!(status, 202, "{body}");
-    let id = field_u64(&body, "id").unwrap();
+    let id = u64_field(&body, "id").unwrap();
 
     let cancelled = http(addr, "POST", &format!("/progress/{id}/cancel"), "");
     assert!(cancelled.contains("\"state\":\"cancelled\""), "{cancelled}");
@@ -324,7 +313,7 @@ fn cancel_over_http_reaches_a_cancelled_terminal() {
     assert!(detail.contains("\"failure\":\"cancelled\""), "{detail}");
     assert_eq!(
         runtime.service().status(id).unwrap().state,
-        JobState::Failed
+        Lifecycle::Failed(AbortKind::Cancelled)
     );
     runtime.drain();
     let _ = std::fs::remove_dir_all(&dir);
@@ -350,7 +339,7 @@ fn graceful_drain_flushes_every_terminal_and_stops_admission() {
     for _ in 0..6 {
         let (status, body) = submit(addr, "t", JOIN_SQL);
         assert_eq!(status, 202, "{body}");
-        ids.push(field_u64(&body, "id").unwrap());
+        ids.push(u64_field(&body, "id").unwrap());
     }
     runtime.drain();
     // After drain every accepted submission is terminal — none hung.
@@ -359,7 +348,7 @@ fn graceful_drain_flushes_every_terminal_and_stops_admission() {
     for id in ids {
         let s = runtime.service().status(id).unwrap();
         assert!(
-            matches!(s.state, JobState::Finished | JobState::Failed),
+            matches!(s.state, Lifecycle::Done | Lifecycle::Failed(_)),
             "query {id} not terminal after drain: {s:?}"
         );
     }
@@ -454,10 +443,353 @@ fn crash_recovery_redispatches_pending_work_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn submit_accepts_every_json_escape_and_the_journal_replays_it_byte_exact() {
+    let _scenario = scenario();
+    let dir = temp_dir("escapes");
+    let session = monitored_session();
+    let addr = session.monitor().unwrap().addr();
+    let runtime = ServiceRuntime::start(
+        session,
+        &dir,
+        ServiceConfig {
+            workers: 0, // keep it queued: it must survive into the journal
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    // `\f` and a surrogate pair are valid JSON escapes; so is `\b`.
+    let body = "{\"sql\":\"SELECT * FROM nation WHERE name <> '\\f\\ud83d\\ude00'\",\
+                \"tenant\":\"t\",\"label\":\"x\\by\"}";
+    let out = http(addr, "POST", "/submit", body);
+    assert!(out.starts_with("HTTP/1.1 202"), "{out}");
+    let id = u64_field(out.split("\r\n\r\n").nth(1).unwrap(), "id").unwrap();
+    let detail = get(addr, &format!("/progress/{id}"));
+    assert!(detail.contains("\"label\":\"x\\u0008y\""), "{detail}");
+    drop(runtime); // abrupt shutdown: the submission stays pending
+
+    let (_, replay) = qprog::svc::Journal::open(&dir).unwrap();
+    assert!(replay.diagnostics.is_empty(), "{:?}", replay.diagnostics);
+    assert_eq!(replay.pending.len(), 1);
+    assert_eq!(
+        replay.pending[0].sql,
+        "SELECT * FROM nation WHERE name <> '\u{c}\u{1f600}'"
+    );
+    assert_eq!(replay.pending[0].label, "x\u{8}y");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journal_lines_are_byte_identical_to_the_golden_encoding() {
+    use qprog::svc::{Journal, PendingEntry};
+    let dir = temp_dir("golden");
+    let v = "a\"b\\c\nd\u{1}é";
+    {
+        let (j, _) = Journal::open(&dir).unwrap();
+        j.append_submit(&PendingEntry {
+            id: 7,
+            tenant: v.to_string(),
+            label: v.to_string(),
+            sql: v.to_string(),
+            deadline: Some(Duration::from_millis(250)),
+        })
+        .unwrap();
+        j.append_submit(&PendingEntry {
+            id: 8,
+            tenant: "t".to_string(),
+            label: v.to_string(),
+            sql: v.to_string(),
+            deadline: None,
+        })
+        .unwrap();
+        j.append_terminal(7, Lifecycle::Done, 1234).unwrap();
+        j.append_terminal(8, Lifecycle::Failed(AbortKind::Cancelled), 99)
+            .unwrap();
+    }
+    let text = std::fs::read_to_string(dir.join(qprog::svc::JOURNAL_FILE)).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "{\"op\":\"submit\",\"id\":7,\"tenant\":\"a\\\"b\\\\c\\nd\\u0001é\",\"label\":\"a\\\"b\\\\c\\nd\\u0001é\",\"deadline_ms\":250,\"sql\":\"a\\\"b\\\\c\\nd\\u0001é\"}",
+            "{\"op\":\"submit\",\"id\":8,\"tenant\":\"t\",\"label\":\"a\\\"b\\\\c\\nd\\u0001é\",\"sql\":\"a\\\"b\\\\c\\nd\\u0001é\"}",
+            "{\"op\":\"terminal\",\"id\":7,\"state\":\"finished\",\"wall_us\":1234}",
+            "{\"op\":\"terminal\",\"id\":8,\"state\":\"cancelled\",\"wall_us\":99}",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seeded interleavings of transient and permanent failures, cancels,
+/// short deadlines and drains against a mock executor: every callback the
+/// service makes must be a legal [`Lifecycle::transition`], and every job
+/// must end exactly once — one `on_terminal`, one journal `terminal` line.
+mod interleavings {
+    use super::*;
+    use qprog::exec::sync::Mutex;
+    use qprog::svc::{JobExecutor, JobOutcome, JobSpec, StatusObserver};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Runs the script in each job's SQL: `<transient failures> <kind>
+    /// <final> <delay ms>`, e.g. `2 panic ok 3`.
+    #[derive(Default)]
+    struct ScriptedExec {
+        attempts: Mutex<BTreeMap<u64, u32>>,
+    }
+
+    impl JobExecutor for ScriptedExec {
+        fn execute(
+            &self,
+            job: &JobSpec,
+            cancel: CancellationToken,
+            deadline: Option<Duration>,
+        ) -> Result<u64, QError> {
+            let started = Instant::now();
+            let script: Vec<&str> = job.sql.split(' ').collect();
+            let transient: u32 = script[0].parse().unwrap();
+            let delay = Duration::from_millis(script[3].parse().unwrap());
+            while started.elapsed() < delay {
+                if cancel.is_cancelled() {
+                    return Err(QError::cancelled());
+                }
+                if deadline.is_some_and(|d| started.elapsed() >= d) {
+                    return Err(QError::deadline_exceeded());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let attempt = {
+                let mut attempts = self.attempts.lock();
+                let n = attempts.entry(job.id).or_insert(0);
+                *n += 1;
+                *n
+            };
+            if attempt <= transient {
+                return Err(match script[1] {
+                    "panic" => QError::operator_panic("scripted"),
+                    _ => QError::injected("scripted"),
+                });
+            }
+            match script[2] {
+                "budget" => Err(QError::budget_exceeded("scripted")),
+                "error" => Err(QError::internal("scripted")),
+                _ => Ok(u64::from(attempt)),
+            }
+        }
+    }
+
+    /// Applies every callback through `Lifecycle::transition`.
+    #[derive(Default)]
+    struct CheckingObserver {
+        next_id: AtomicU64,
+        states: Mutex<BTreeMap<u64, Lifecycle>>,
+        terminals: Mutex<BTreeMap<u64, u32>>,
+        violations: Mutex<Vec<String>>,
+    }
+
+    impl CheckingObserver {
+        fn advance(&self, id: u64, to: Lifecycle) {
+            let mut states = self.states.lock();
+            let from = states[&id];
+            match from.transition(to) {
+                Ok(next) => {
+                    states.insert(id, next);
+                }
+                Err(e) => {
+                    self.violations.lock().push(format!("job {id}: {e}"));
+                    panic!("job {id}: {e}");
+                }
+            }
+        }
+    }
+
+    impl StatusObserver for CheckingObserver {
+        fn allocate_id(&self, floor: u64) -> u64 {
+            self.next_id.fetch_max(floor, Ordering::Relaxed);
+            self.next_id.fetch_add(1, Ordering::Relaxed).max(floor)
+        }
+
+        fn on_queued(&self, job: &JobSpec) {
+            let prev = self.states.lock().insert(job.id, Lifecycle::Queued);
+            assert_eq!(prev, None, "job {} queued twice", job.id);
+        }
+
+        fn on_dispatched(&self, job: &JobSpec) {
+            self.advance(job.id, Lifecycle::Running);
+        }
+
+        fn on_retrying(&self, job: &JobSpec, kind: AbortKind, _backoff: Duration) {
+            self.advance(job.id, Lifecycle::Retrying(kind));
+        }
+
+        fn on_terminal(&self, job: &JobSpec, outcome: &JobOutcome) {
+            *self.terminals.lock().entry(job.id).or_insert(0) += 1;
+            self.advance(job.id, outcome.lifecycle());
+        }
+    }
+
+    fn run_case(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dir = temp_dir(&format!("interleave-{seed}"));
+        let observer = Arc::new(CheckingObserver::default());
+        let cfg = ServiceConfig {
+            workers: 2,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::from_millis(1),
+                cap: Duration::from_millis(4),
+                seed,
+            },
+            drain_timeout: Duration::from_millis(rng.random_range(0..20u64)),
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::open(
+            &dir,
+            cfg,
+            Arc::new(ScriptedExec::default()),
+            Arc::clone(&observer) as Arc<dyn StatusObserver>,
+            None,
+        )
+        .unwrap();
+        let mut ids = Vec::new();
+        for _ in 0..16 {
+            let kind = if rng.random_bool(0.5) {
+                "panic"
+            } else {
+                "injected"
+            };
+            let end = ["ok", "ok", "budget", "error"][rng.random_range(0..4usize)];
+            let sql = format!(
+                "{} {kind} {end} {}",
+                rng.random_range(0..4u32),
+                rng.random_range(0..5u64)
+            );
+            let deadline = rng
+                .random_bool(0.25)
+                .then(|| Duration::from_millis(rng.random_range(1..15u64)));
+            let ticket = svc
+                .submit(SubmitRequest {
+                    sql,
+                    tenant: format!("t{}", rng.random_range(0..3u32)),
+                    label: None,
+                    deadline,
+                })
+                .unwrap();
+            ids.push(ticket.id);
+            if rng.random_bool(0.3) {
+                std::thread::sleep(Duration::from_millis(rng.random_range(0..4u64)));
+                let victim = ids[rng.random_range(0..ids.len())];
+                svc.cancel(victim);
+            }
+        }
+        if seed % 2 == 1 {
+            // Drain mid-flight: queued and parked jobs end as cancelled.
+            svc.drain();
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !ids
+            .iter()
+            .all(|id| svc.status(*id).is_some_and(|s| s.state.is_terminal()))
+        {
+            let violations = observer.violations.lock().clone();
+            assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+            assert!(
+                Instant::now() < deadline,
+                "seed {seed}: jobs never ended: {:?}",
+                ids.iter().map(|id| svc.status(*id)).collect::<Vec<_>>()
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        svc.shutdown();
+
+        let violations = observer.violations.lock().clone();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        let journal = std::fs::read_to_string(svc.journal_path()).unwrap();
+        for &id in &ids {
+            let status = svc.status(id).unwrap();
+            assert_eq!(
+                observer.states.lock().get(&id),
+                Some(&status.state),
+                "seed {seed}: job {id} observer and service disagree"
+            );
+            assert_eq!(
+                observer.terminals.lock().get(&id),
+                Some(&1),
+                "seed {seed}: job {id} on_terminal count"
+            );
+            let lines = journal
+                .lines()
+                .filter(|l| {
+                    l.starts_with("{\"op\":\"terminal\"") && l.contains(&format!("\"id\":{id},"))
+                })
+                .count();
+            assert_eq!(lines, 1, "seed {seed}: job {id} journal terminal lines");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_job_ends_exactly_once_through_legal_transitions() {
+        for seed in 0..32 {
+            eprintln!("interleaving seed {seed}");
+            run_case(seed);
+        }
+    }
+}
+
 #[cfg(feature = "failpoints")]
 mod chaos {
     use super::*;
     use qprog::fault;
+
+    #[test]
+    fn cancel_between_pop_and_dispatch_is_not_lost() {
+        // The worker pops the job, then stalls in the dispatch failpoint
+        // before the executor runs; a cancel landing in that window must
+        // still end the job as cancelled.
+        let dir = temp_dir("fp-cancel-race");
+        let session = monitored_session();
+        let _scenario = fault::FailScenario::setup();
+        let runtime = ServiceRuntime::start(
+            session,
+            &dir,
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        fault::configure("service/dispatch", "1*sleep(300)").unwrap();
+        let service = runtime.service();
+        let id = service
+            .submit(SubmitRequest {
+                sql: "SELECT * FROM nation".to_string(),
+                tenant: "t".to_string(),
+                label: None,
+                deadline: None,
+            })
+            .unwrap()
+            .id;
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(service.cancel(id), CancelOutcome::SignalledRunning);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            let status = service.status(id).unwrap();
+            if status.state.is_terminal() {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "{status:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(status.state, Lifecycle::Failed(AbortKind::Cancelled));
+        assert_eq!(status.rows, None);
+        assert_eq!(fault::hits("service/dispatch"), 1);
+        runtime.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn submit_fault_is_a_typed_500_and_the_service_keeps_serving() {
@@ -473,7 +805,7 @@ mod chaos {
         // The fault was one-shot: the service recovers immediately.
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = u64_field(&body, "id").unwrap();
         await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });
@@ -519,7 +851,7 @@ mod chaos {
         fault::configure("service/dispatch", "1*error(chaos: dispatch glitch)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = u64_field(&body, "id").unwrap();
         // The injected fault is transient → retried → done, same id.
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
@@ -545,7 +877,7 @@ mod chaos {
         fault::configure("service/retry", "1*error(chaos: retry broker down)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = u64_field(&body, "id").unwrap();
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"failed\"")
         });
@@ -603,7 +935,7 @@ mod chaos {
         fault::configure("exec/scan/next", "1*error(chaos: page gone)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = u64_field(&body, "id").unwrap();
         await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });
@@ -632,7 +964,7 @@ mod chaos {
         let wall = journal
             .lines()
             .filter(|l| l.contains("\"op\":\"terminal\"") && l.contains(&format!("\"id\":{id},")))
-            .filter_map(|l| field_u64(l, "wall_us"))
+            .filter_map(|l| u64_field(l, "wall_us"))
             .next_back()
             .expect("terminal journal record");
         let diff = wall.abs_diff(totals.total_us) as f64;
@@ -670,7 +1002,7 @@ mod chaos {
         fault::configure("exec/scan/next", "1*error(chaos: page gone)").unwrap();
         let (status, body) = submit(addr, "t", "SELECT * FROM nation");
         assert_eq!(status, 202, "{body}");
-        let id = field_u64(&body, "id").unwrap();
+        let id = u64_field(&body, "id").unwrap();
         let detail = await_progress(addr, id, Duration::from_secs(10), |d| {
             d.contains("\"state\":\"done\"")
         });

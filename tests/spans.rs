@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use qprog::obs::{ReplayedTrace, SpanTree};
 use qprog::prelude::*;
+use qprog::types::json::raw_field;
 use qprog::workloads::q8_plan;
 use qprog_datagen::{TpchConfig, TpchGenerator};
 
@@ -187,17 +188,6 @@ struct Complete {
     tid: u64,
 }
 
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = &obj[at..];
-    if let Some(s) = rest.strip_prefix('"') {
-        s.split('"').next()
-    } else {
-        Some(rest.split([',', '}']).next().unwrap_or("").trim())
-    }
-}
-
 /// Split the `traceEvents` array into its top-level objects by brace
 /// depth (string-aware would be overkill: names are escaped and the only
 /// braces inside strings would be user SQL, which Q8 plans don't carry —
@@ -340,20 +330,20 @@ fn q8_chrome_export_is_valid_json_with_strictly_nested_spans() {
     let mut by_tid: std::collections::BTreeMap<u64, Vec<Complete>> = Default::default();
     let mut named_tids = std::collections::BTreeSet::new();
     for obj in &objects {
-        match field(obj, "ph") {
+        match raw_field(obj, "ph") {
             Some("X") => {
                 let span = Complete {
-                    name: field(obj, "name").unwrap_or_default().to_string(),
-                    ts: field(obj, "ts").unwrap().parse().unwrap(),
-                    dur: field(obj, "dur").unwrap().parse().unwrap(),
-                    tid: field(obj, "tid").unwrap().parse().unwrap(),
+                    name: raw_field(obj, "name").unwrap_or_default().to_string(),
+                    ts: raw_field(obj, "ts").unwrap().parse().unwrap(),
+                    dur: raw_field(obj, "dur").unwrap().parse().unwrap(),
+                    tid: raw_field(obj, "tid").unwrap().parse().unwrap(),
                 };
-                assert_eq!(field(obj, "pid"), Some("8"), "pid must be the query id");
+                assert_eq!(raw_field(obj, "pid"), Some("8"), "pid must be the query id");
                 by_tid.entry(span.tid).or_default().push(span);
             }
             Some("M") => {
-                assert_eq!(field(obj, "name"), Some("thread_name"));
-                named_tids.insert(field(obj, "tid").unwrap().parse::<u64>().unwrap());
+                assert_eq!(raw_field(obj, "name"), Some("thread_name"));
+                named_tids.insert(raw_field(obj, "tid").unwrap().parse::<u64>().unwrap());
             }
             other => panic!("unexpected ph {other:?} in {obj}"),
         }

@@ -2,13 +2,14 @@
 //! database, comparing the paper's framework (`once`) with the `dne`
 //! baseline. 10% samples, as in the paper.
 //!
-//! Actual progress is computed post-hoc: a monitor thread records
-//! `(C(Q), estimated fraction)` while the query runs; after completion the
-//! true total `T(Q) = C_final(Q)` is known, so actual progress at each
-//! sample is `C/C_final`.
+//! Actual progress is computed post-hoc: a timeline recorder on a watcher
+//! thread records `(C(Q), estimated fraction)` while the query runs; after
+//! completion the true total `T(Q) = C_final(Q)` is known, so actual
+//! progress at each sample is `C/C_final`.
 
 use std::time::Duration;
 
+use qprog::obs::TimelineRecorder;
 use qprog::plan::physical::{compile, PhysicalOptions};
 use qprog::plan::PlanBuilder;
 use qprog::workloads::q8_plan;
@@ -27,25 +28,13 @@ fn run_q8(builder: &PlanBuilder, mode: EstimationMode) -> Vec<(f64, f64)> {
         ..PhysicalOptions::default()
     };
     let mut q = compile(&plan, &opts).expect("compile");
-    let tracker = q.tracker();
-    let worker = std::thread::spawn(move || {
-        let rows = q.collect().expect("q8 run");
-        rows.len()
-    });
-    let mut samples: Vec<(u64, f64)> = Vec::new();
-    loop {
-        let snap = tracker.snapshot();
-        samples.push((snap.current(), snap.fraction()));
-        if snap.is_complete() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    worker.join().expect("worker");
-    let final_c = tracker.snapshot().current().max(1);
-    samples
-        .into_iter()
-        .map(|(c, est)| (c as f64 / final_c as f64, est))
+    let sampler = TimelineRecorder::new(q.tracker()).spawn(Duration::from_millis(2));
+    q.collect().expect("q8 run");
+    let log = sampler.finish();
+    let final_c = q.tracker().snapshot().current().max(1);
+    log.points()
+        .iter()
+        .map(|p| (p.current as f64 / final_c as f64, p.fraction))
         .collect()
 }
 

@@ -8,11 +8,12 @@
 //! - **finished** pipelines: `T(p)` known exactly,
 //! - the **running** pipeline: `T(p)` from the online estimators of this
 //!   crate,
-//! - **pending** pipelines: `T(p)` from refined optimizer estimates,
-//!   clamped to `[lower, upper]` bounds as in Chaudhuri et al.
+//! - **pending** pipelines: `T(p)` from refined optimizer estimates (as in
+//!   Chaudhuri et al.).
 //!
-//! The executor summarizes each pipeline into a [`PipelineProgress`] and
-//! hands the set to [`ProgressSnapshot`], which does the gnm arithmetic.
+//! Every `T(p)` is clamped below by the work already observed. The
+//! executor summarizes each pipeline into a [`PipelineProgress`] and hands
+//! the set to [`ProgressSnapshot`], which does the gnm arithmetic.
 
 /// Execution state of a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,10 +38,6 @@ pub struct PipelineProgress {
     /// `T(p)`: estimated total `getnext()` calls over the pipeline's
     /// lifetime (exact when finished).
     pub total_estimate: f64,
-    /// Hard lower bound on `T(p)` (at least the calls already made).
-    pub lower: f64,
-    /// Upper bound on `T(p)` (`∞` when nothing better is known).
-    pub upper: f64,
 }
 
 impl PipelineProgress {
@@ -51,8 +48,6 @@ impl PipelineProgress {
             state: PipelineState::Finished,
             done: total,
             total_estimate: total as f64,
-            lower: total as f64,
-            upper: total as f64,
         }
     }
 
@@ -63,8 +58,6 @@ impl PipelineProgress {
             state: PipelineState::Running,
             done,
             total_estimate,
-            lower: done as f64,
-            upper: f64::INFINITY,
         }
     }
 
@@ -75,53 +68,46 @@ impl PipelineProgress {
             state: PipelineState::Pending,
             done: 0,
             total_estimate,
-            lower: 0.0,
-            upper: f64::INFINITY,
         }
     }
 
-    /// Attach refinement bounds.
-    pub fn with_bounds(mut self, lower: f64, upper: f64) -> Self {
-        self.lower = lower;
-        self.upper = upper;
-        self
-    }
-
-    /// `T(p)` after clamping the estimate to the bounds and to the work
-    /// already observed.
+    /// `T(p)`: the estimate, clamped below by the work already observed.
     pub fn total(&self) -> f64 {
-        self.total_estimate
-            .clamp(self.lower, self.upper.max(self.lower))
-            .max(self.done as f64)
+        self.total_estimate.max(self.done as f64)
     }
 }
 
-/// A point-in-time gnm progress snapshot over all pipelines of a query.
+/// A point-in-time gnm progress snapshot over all pipelines of a query,
+/// carrying the fraction a monitor publishes and its confidence bounds.
 #[derive(Debug, Clone)]
 pub struct ProgressSnapshot {
     pipelines: Vec<PipelineProgress>,
-    /// Monotonicity floor: the highest fraction previously reported for
-    /// this query. A concurrent sampler can catch `C(Q)` and `T(Q)` between
-    /// a batch's counter advance and its estimate publication (they live in
-    /// separate atomics), momentarily lowering the raw ratio; the floor
-    /// keeps the *reported* fraction non-decreasing. Zero (the default)
-    /// leaves the raw ratio untouched.
-    floor: f64,
+    /// The published fraction: the raw ratio, or the monotone value a live
+    /// tracker clamped it to (see [`publish`](Self::publish)).
+    fraction: f64,
+    /// Confidence bounds `(lo, hi)` with `lo ≤ fraction ≤ hi`.
+    bounds: (f64, f64),
 }
 
 impl ProgressSnapshot {
-    /// Assemble a snapshot from per-pipeline summaries.
+    /// Assemble a snapshot from per-pipeline summaries. It publishes the
+    /// raw ratio, with the bounds collapsed onto it.
     pub fn new(pipelines: Vec<PipelineProgress>) -> Self {
-        ProgressSnapshot {
+        let snap = ProgressSnapshot {
             pipelines,
-            floor: 0.0,
-        }
+            fraction: 0.0,
+            bounds: (0.0, 0.0),
+        };
+        let raw = snap.raw_fraction();
+        snap.publish(raw, (raw, raw))
     }
 
-    /// Attach a monotonicity floor: [`fraction`](Self::fraction) reports at
-    /// least this value (clamped to `[0, 1]`).
-    pub fn with_floor(mut self, floor: f64) -> Self {
-        self.floor = floor.clamp(0.0, 1.0);
+    /// Publish `fraction` with confidence `bounds` in place of the raw
+    /// ratio. The caller keeps `lo ≤ fraction ≤ hi`: a live tracker calls
+    /// this after its monotone clamp.
+    pub fn publish(mut self, fraction: f64, bounds: (f64, f64)) -> Self {
+        self.fraction = fraction;
+        self.bounds = bounds;
         self
     }
 
@@ -140,14 +126,19 @@ impl ProgressSnapshot {
         self.pipelines.iter().map(|p| p.total()).sum()
     }
 
-    /// gnm progress `C(Q)/T(Q)`, clamped to `[0, 1]` and to the
-    /// monotonicity floor (if one was attached). An empty snapshot with no
-    /// floor reports 0.
+    /// The published gnm progress fraction in `[0, 1]`. An empty snapshot
+    /// reports 0.
     pub fn fraction(&self) -> f64 {
-        self.raw_fraction().max(self.floor)
+        self.fraction
     }
 
-    /// The unclamped-by-floor ratio `C(Q)/T(Q)` in `[0, 1]`.
+    /// Confidence bounds `(lo, hi)` on [`fraction`](Self::fraction), with
+    /// `lo ≤ fraction ≤ hi`.
+    pub fn bounds(&self) -> (f64, f64) {
+        self.bounds
+    }
+
+    /// The raw ratio `C(Q)/T(Q)` in `[0, 1]`, before any monotone clamp.
     pub fn raw_fraction(&self) -> f64 {
         let total = self.total();
         if total <= 0.0 {
@@ -201,16 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn floor_clamps_fraction_from_below_only() {
+    fn published_values_replace_the_raw_ratio() {
         let snap = ProgressSnapshot::new(vec![PipelineProgress::running(0, 25, 100.0)]);
         assert_eq!(snap.fraction(), 0.25);
-        let floored = snap.clone().with_floor(0.4);
-        assert_eq!(floored.fraction(), 0.4);
-        assert_eq!(floored.raw_fraction(), 0.25);
-        // a floor below the raw ratio changes nothing, and the floor never
-        // pushes past 1.0
-        assert_eq!(snap.clone().with_floor(0.1).fraction(), 0.25);
-        assert_eq!(snap.with_floor(7.0).fraction(), 1.0);
+        assert_eq!(snap.bounds(), (0.25, 0.25));
+        let published = snap.publish(0.4, (0.3, 0.5));
+        assert_eq!(published.fraction(), 0.4);
+        assert_eq!(published.bounds(), (0.3, 0.5));
+        assert_eq!(published.raw_fraction(), 0.25);
     }
 
     #[test]
@@ -220,17 +209,6 @@ mod tests {
         assert_eq!(p.total(), 100.0);
         let snap = ProgressSnapshot::new(vec![p]);
         assert!(snap.fraction() <= 1.0);
-    }
-
-    #[test]
-    fn bounds_clamp_estimates() {
-        let p = PipelineProgress::pending(0, 1_000_000.0).with_bounds(10.0, 500.0);
-        assert_eq!(p.total(), 500.0);
-        let p = PipelineProgress::pending(0, 1.0).with_bounds(10.0, 500.0);
-        assert_eq!(p.total(), 10.0);
-        // degenerate bounds (upper < lower) resolve to lower
-        let p = PipelineProgress::pending(0, 5.0).with_bounds(10.0, 2.0);
-        assert_eq!(p.total(), 10.0);
     }
 
     #[test]

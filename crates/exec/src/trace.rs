@@ -508,20 +508,22 @@ pub enum TraceEventKind {
     /// coarser.
     EstimatorDegraded { op: u32, reason: DegradeReason },
     /// A periodic `gnm` progress snapshot, published by the timeline
-    /// recorder when it is bus-attached. Makes a recorded trace
-    /// self-sufficient for post-hoc quality scoring (replay needs no live
-    /// tracker): `fraction = current / total` with the estimator's current
-    /// `ΣN_i`, and `[lo, hi]` the bounds-derived progress interval.
+    /// recorder when it is bus-attached (and only then: runs driven through
+    /// a session or the query service without a recorder carry none).
+    /// Makes a recorded trace self-sufficient for post-hoc quality scoring
+    /// (replay needs no live tracker). All five fields come from one
+    /// tracker snapshot: `fraction` is the tracker's monotone clamp of
+    /// `current / total`, and `lo ≤ fraction ≤ hi`.
     ProgressSampled {
         /// `ΣK_i` — total work done across monitored operators.
         current: u64,
         /// `ΣN_i` — estimated total work (NaN when unknown).
         total: f64,
-        /// `current / total`, clamped to `[0, 1]`.
+        /// `current / total` in `[0, 1]`, never below an earlier sample's.
         fraction: f64,
-        /// Lower progress bound (NaN when no bounds are published).
+        /// Lower progress bound: `current` over the upper `ΣN_i` bounds.
         lo: f64,
-        /// Upper progress bound (NaN when no bounds are published).
+        /// Upper progress bound: `current` over the lower `ΣN_i` bounds.
         hi: f64,
     },
     /// An operator's observed active wall-time span, stamped when it

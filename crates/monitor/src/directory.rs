@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use qprog_core::gnm::PipelineState;
+use qprog_core::gnm::{PipelineState, ProgressSnapshot};
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::{AbortKind, Lifecycle, Phase, TraceEvent, TraceEventKind, TraceSink};
 use qprog_metrics::{Counter, Gauge, Registry};
@@ -136,37 +136,55 @@ struct QueryEntry {
     /// Smoothed remaining-time estimate (interior mutability: refreshed
     /// from whichever render or broadcast tick observes the entry).
     eta: Mutex<EtaSmoother>,
-    /// Running maximum of the published fraction (f64 bits). The raw gnm
-    /// estimate may regress when an estimator revises `N_i` upward; the
-    /// *reported* fraction is clamped monotone so progress bars never
-    /// move backwards. Raw estimates stay visible in the trace stream.
-    max_fraction: AtomicU64,
     /// Whether the stream hub already saw this query's terminal frame.
     terminal_emitted: AtomicBool,
 }
 
+/// One reading of an entry, taken once per render or broadcast tick: a
+/// single tracker snapshot feeds the lifecycle, the health check, the ETA
+/// smoother and the JSON frame.
+struct Reading {
+    state: Lifecycle,
+    /// The execution's snapshot; `None` while a managed entry waits for
+    /// dispatch.
+    snap: Option<ProgressSnapshot>,
+    elapsed_us: u64,
+    eta_us: Option<u64>,
+}
+
 impl QueryEntry {
-    /// Monotonically-clamped published fraction. Mutated only with the
-    /// directory's entries lock held, so a plain load/store race-free.
-    fn clamped_fraction(&self, raw: f64) -> f64 {
-        let prev = f64::from_bits(self.max_fraction.load(Ordering::Relaxed));
-        if raw.is_finite() && raw > prev {
-            self.max_fraction.store(raw.to_bits(), Ordering::Relaxed);
-            raw
-        } else {
-            prev
+    /// Take this entry's [`Reading`], feeding the ETA smoother once.
+    fn read(&self) -> Reading {
+        let snap = self.exec.as_ref().map(|x| x.tracker.snapshot());
+        let state = self.lifecycle(snap.as_ref());
+        let elapsed_us = self.started.elapsed().as_micros() as u64;
+        // The paper's motivating use case, estimated time remaining from
+        // the gnm fraction, smoothed so refinement noise does not whipsaw
+        // the number. `None` before meaningful progress and once terminal.
+        let fraction = snap.as_ref().map_or(0.0, ProgressSnapshot::fraction);
+        let eta_us = self
+            .eta
+            .lock()
+            .update(elapsed_us, fraction, state == Lifecycle::Running);
+        Reading {
+            state,
+            snap,
+            elapsed_us,
+            eta_us,
         }
     }
 
     /// The entry's lifecycle. A session-owned query counts as `Done` once
     /// its progress is complete, even before the trace says so.
-    fn lifecycle(&self) -> Lifecycle {
+    fn lifecycle(&self, snap: Option<&ProgressSnapshot>) -> Lifecycle {
         if let Some(state) = self.managed {
             return state;
         }
         let exec = self.exec.as_ref().expect("session entries carry exec");
         match exec.phases.state() {
-            Lifecycle::Running if exec.tracker.snapshot().is_complete() => Lifecycle::Done,
+            Lifecycle::Running if snap.is_some_and(ProgressSnapshot::is_complete) => {
+                Lifecycle::Done
+            }
             state => state,
         }
     }
@@ -253,7 +271,6 @@ impl QueryDirectory {
                 rows: None,
                 started: Instant::now(),
                 eta: Mutex::new(EtaSmoother::new()),
-                max_fraction: AtomicU64::new(0.0f64.to_bits()),
                 terminal_emitted: AtomicBool::new(false),
             },
         )
@@ -291,7 +308,6 @@ impl QueryDirectory {
                 rows: None,
                 started: Instant::now(),
                 eta: Mutex::new(EtaSmoother::new()),
-                max_fraction: AtomicU64::new(0.0f64.to_bits()),
                 terminal_emitted: AtomicBool::new(false),
             },
         )
@@ -313,8 +329,9 @@ impl QueryDirectory {
 
     /// Attach live execution state to a managed entry (a worker is about
     /// to drive the query). A retry attempt replaces the previous
-    /// attachment; the published fraction stays monotone across attempts.
-    /// Returns false if the id is unknown.
+    /// attachment and carries its fraction into the new tracker's
+    /// high-water mark, so the published fraction stays monotone across
+    /// attempts. Returns false if the id is unknown.
     pub fn attach_execution(
         &self,
         id: u64,
@@ -325,6 +342,9 @@ impl QueryDirectory {
         let mut entries = self.entries.lock();
         match entries.get_mut(&id) {
             Some(e) => {
+                if let Some(previous) = &e.exec {
+                    tracker.carry_floor(&previous.tracker);
+                }
                 e.exec = Some(ExecAttachment {
                     tracker,
                     phases,
@@ -371,7 +391,7 @@ impl QueryDirectory {
             let hub = self.hub.lock().clone();
             if let Some(hub) = hub {
                 if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
-                    hub.publish(id, "terminal", &Self::summary_json(id, &e), true);
+                    hub.publish(id, "terminal", &Self::summary_json(id, &e, &e.read()), true);
                 }
                 hub.close_query(id);
             }
@@ -385,10 +405,10 @@ impl QueryDirectory {
         *self.hub.lock() = Some(hub);
     }
 
-    /// One broadcast tick: per registered query, sample health, then push
-    /// a `progress` frame (if anyone is listening) or — exactly once — a
-    /// `terminal` frame. Encoding happens at most once per query per tick
-    /// regardless of subscriber count.
+    /// One broadcast tick: per registered query, take one reading, sample
+    /// health from it, then push a `progress` frame (if anyone is
+    /// listening) or — exactly once — a `terminal` frame. Encoding happens
+    /// at most once per query per tick regardless of subscriber count.
     pub fn tick(&self) {
         let hub = match self.hub.lock().clone() {
             Some(h) => h,
@@ -396,35 +416,30 @@ impl QueryDirectory {
         };
         let entries = self.entries.lock();
         for (&id, e) in entries.iter() {
-            let state = e.lifecycle();
-            let running = state == Lifecycle::Running;
-            if let Some(exec) = &e.exec {
-                if let Some(h) = &exec.health {
-                    let snap = exec.tracker.snapshot();
-                    let elapsed_us = e.started.elapsed().as_micros() as u64;
-                    let fraction = e.clamped_fraction(snap.fraction());
-                    let eta = e.eta.lock().update(elapsed_us, fraction, running);
-                    if let Some((from, to, reason)) =
-                        h.observe(snap.current(), eta.map(|v| v as f64), running)
-                    {
-                        hub.publish(
-                            id,
-                            "health",
-                            &format!(
-                                "{{\"id\":{id},\"from\":\"{from}\",\"to\":\"{to}\",\
-                                 \"reason\":\"{reason}\"}}"
-                            ),
-                            false,
-                        );
-                    }
+            let r = e.read();
+            let health = e.exec.as_ref().and_then(|x| x.health.as_ref());
+            if let (Some(h), Some(snap)) = (health, &r.snap) {
+                let running = r.state == Lifecycle::Running;
+                if let Some((from, to, reason)) =
+                    h.observe(snap.current(), r.eta_us.map(|v| v as f64), running)
+                {
+                    hub.publish(
+                        id,
+                        "health",
+                        &format!(
+                            "{{\"id\":{id},\"from\":\"{from}\",\"to\":\"{to}\",\
+                             \"reason\":\"{reason}\"}}"
+                        ),
+                        false,
+                    );
                 }
             }
-            if state.is_terminal() {
+            if r.state.is_terminal() {
                 if !e.terminal_emitted.swap(true, Ordering::Relaxed) {
-                    hub.publish(id, "terminal", &Self::summary_json(id, e), true);
+                    hub.publish(id, "terminal", &Self::summary_json(id, e, &r), true);
                 }
             } else if hub.wants(id) {
-                hub.publish(id, "progress", &Self::summary_json(id, e), false);
+                hub.publish(id, "progress", &Self::summary_json(id, e, &r), false);
             }
         }
     }
@@ -444,44 +459,31 @@ impl QueryDirectory {
         self.entries.lock().keys().copied().collect()
     }
 
-    fn summary_json(id: u64, e: &QueryEntry) -> String {
-        let state = e.lifecycle();
-        // Progress numbers come from the execution attachment; entries
+    fn summary_json(id: u64, e: &QueryEntry, r: &Reading) -> String {
+        let state = r.state;
+        // Progress numbers come from the execution's snapshot; entries
         // waiting for dispatch render the trivially-true bounds.
-        let (fraction, lo, hi, current, total, pipes, pipes_done) = match &e.exec {
-            Some(exec) => {
-                let snap = exec.tracker.snapshot();
-                let (lo, hi) = exec.tracker.fraction_bounds();
-                let fraction = e.clamped_fraction(snap.fraction());
-                let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
+        let (fraction, (lo, hi), current, total, pipes, pipes_done) = match &r.snap {
+            Some(snap) => {
                 let pipelines = snap.pipelines();
                 let finished = pipelines
                     .iter()
                     .filter(|p| p.state == PipelineState::Finished)
                     .count();
                 (
-                    fraction,
-                    lo,
-                    hi,
+                    snap.fraction(),
+                    snap.bounds(),
                     snap.current(),
                     snap.total(),
                     pipelines.len(),
                     finished,
                 )
             }
-            None => {
-                let fraction = e.clamped_fraction(0.0);
-                (fraction, 0.0, 1.0, 0, f64::NAN, 0, 0)
-            }
+            None => (0.0, (0.0, 1.0), 0, f64::NAN, 0, 0),
         };
-        let elapsed_us = e.started.elapsed().as_micros() as u64;
-        // The paper's motivating use case, estimated time remaining from
-        // the gnm fraction, smoothed so refinement noise does not whipsaw
-        // the number. `null` before meaningful progress and once terminal.
-        let eta_us = e
-            .eta
-            .lock()
-            .update(elapsed_us, fraction, state == Lifecycle::Running)
+        let elapsed_us = r.elapsed_us;
+        let eta_us = r
+            .eta_us
             .map_or_else(|| "null".to_string(), |v| v.to_string());
         let health = e.exec.as_ref().and_then(|x| x.health.as_ref()).map_or_else(
             || "null".to_string(),
@@ -516,7 +518,7 @@ impl QueryDirectory {
     }
 
     fn detail_json(id: u64, e: &QueryEntry) -> String {
-        let summary = Self::summary_json(id, e);
+        let summary = Self::summary_json(id, e, &e.read());
         let ops: Vec<String> = match &e.exec {
             None => Vec::new(),
             Some(exec) => exec
@@ -561,7 +563,7 @@ impl QueryDirectory {
         let entries = self.entries.lock();
         let queries: Vec<String> = entries
             .iter()
-            .map(|(&id, e)| Self::summary_json(id, e))
+            .map(|(&id, e)| Self::summary_json(id, e, &e.read()))
             .collect();
         format!("{{\"queries\":[{}]}}", queries.join(","))
     }
@@ -580,9 +582,10 @@ impl QueryDirectory {
     pub fn stream_snapshot(&self, id: u64) -> Option<(String, bool, bool)> {
         let entries = self.entries.lock();
         entries.get(&id).map(|e| {
+            let r = e.read();
             (
-                Self::summary_json(id, e),
-                e.lifecycle().is_terminal(),
+                Self::summary_json(id, e, &r),
+                r.state.is_terminal(),
                 e.terminal_emitted.load(Ordering::Relaxed),
             )
         })
@@ -816,6 +819,45 @@ mod tests {
         drop(q);
         assert!(!dir.set_managed_state(id, Lifecycle::Queued, None, None));
         assert!(!dir.attach_execution(id, tracker().0, Arc::new(PhaseSink::new()), None));
+    }
+
+    #[test]
+    fn reattaching_a_lower_tracker_never_lowers_fraction_or_hi() {
+        let dir = Arc::new(QueryDirectory::new(None));
+        let id = dir.allocate_id(1);
+        let _q = dir.register_managed(id, "flaky", "gnm", "t");
+        let read = |dir: &QueryDirectory| {
+            let json = dir.render_query(id).unwrap();
+            let field = |k| {
+                qprog_types::json::raw_field(&json, k)
+                    .unwrap()
+                    .parse::<f64>()
+            };
+            (field("fraction").unwrap(), field("hi").unwrap())
+        };
+        let (first, reg) = tracker();
+        dir.attach_execution(id, first, Arc::new(PhaseSink::new()), None);
+        for _ in 0..60 {
+            reg.get(0).unwrap().record_emitted();
+        }
+        let (fraction, hi) = read(&dir);
+        assert!(
+            (fraction - 0.6).abs() < 1e-9 && hi >= fraction,
+            "{fraction} {hi}"
+        );
+        // The retry attempt starts over: its own tracker reads 0.1.
+        dir.set_managed_state(id, Lifecycle::Retrying(AbortKind::Injected), Some(1), None);
+        let (retry, reg) = tracker();
+        dir.attach_execution(id, retry, Arc::new(PhaseSink::new()), None);
+        for _ in 0..10 {
+            reg.get(0).unwrap().record_emitted();
+        }
+        let (after, after_hi) = read(&dir);
+        assert_eq!(after, fraction, "fraction dropped across the retry");
+        assert!(
+            after_hi >= hi,
+            "hi dropped across the retry: {after_hi} < {hi}"
+        );
     }
 
     #[test]

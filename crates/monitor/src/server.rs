@@ -10,7 +10,7 @@ use std::time::Duration;
 use qprog_exec::sync::Mutex;
 use qprog_exec::trace::Lifecycle;
 use qprog_metrics::Registry;
-use qprog_obs::Corpus;
+use qprog_obs::{Corpus, ProgressWatcher};
 use qprog_service::{CancelOutcome, QueryService, SubmitError, SubmitRequest};
 use qprog_types::json::{str_field, u64_field};
 use qprog_types::{QError, QResult};
@@ -110,7 +110,9 @@ pub struct MonitorServer {
     service: Mutex<Option<Arc<QueryService>>>,
     stop: Arc<AtomicBool>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    tick_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The broadcast tick: every `TICK` it samples every registered query
+    /// and fans frames out to stream subscribers, until shutdown.
+    tick: Mutex<Option<ProgressWatcher>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -146,7 +148,7 @@ impl MonitorServer {
             service: Mutex::new(None),
             stop: Arc::new(AtomicBool::new(false)),
             accept_thread: Mutex::new(None),
-            tick_thread: Mutex::new(None),
+            tick: Mutex::new(None),
             connections: Arc::new(Mutex::new(Vec::new())),
         });
         let accept = {
@@ -157,24 +159,18 @@ impl MonitorServer {
                 .map_err(|e| QError::plan(format!("spawn accept thread: {e}")))?
         };
         *server.accept_thread.lock() = Some(accept);
-        let tick = {
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name("qprog-monitor-tick".to_string())
-                .spawn(move || server.broadcast_loop())
-                .map_err(|e| QError::plan(format!("spawn broadcast thread: {e}")))?
-        };
-        *server.tick_thread.lock() = Some(tick);
+        let (directory, stop) = (Arc::clone(&server.directory), Arc::clone(&server.stop));
+        let tick = ProgressWatcher::spawn(TICK, (), move |_| {
+            // No tick after shutdown began (the hub is already closed).
+            let running = !stop.load(Ordering::Acquire);
+            if running {
+                directory.tick();
+            }
+            running
+        })
+        .map_err(|e| QError::plan(format!("spawn broadcast thread: {e}")))?;
+        *server.tick.lock() = Some(tick);
         Ok(server)
-    }
-
-    /// The broadcast tick: sample every registered query and fan frames
-    /// out to stream subscribers until shutdown.
-    fn broadcast_loop(&self) {
-        while !self.stop.load(Ordering::Acquire) {
-            self.directory.tick();
-            std::thread::sleep(TICK);
-        }
     }
 
     /// The server-push hub stream subscribers hang off.
@@ -701,9 +697,7 @@ impl MonitorServer {
         if let Some(handle) = self.accept_thread.lock().take() {
             let _ = handle.join();
         }
-        if let Some(handle) = self.tick_thread.lock().take() {
-            let _ = handle.join();
-        }
+        drop(self.tick.lock().take());
         let connections: Vec<_> = std::mem::take(&mut *self.connections.lock());
         for c in connections {
             let _ = c.join();

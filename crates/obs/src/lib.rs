@@ -11,11 +11,14 @@
 //!   human-readable [`StderrSink`], and a debug-mode
 //!   [`ValidatorSink`] that flags events violating
 //!   the progress model's invariants.
-//! - [`timeline`] — a [`TimelineRecorder`]
-//!   that samples a query's [`ProgressTracker`](qprog_plan::ProgressTracker)
-//!   at a configurable cadence into a [`ProgressLog`]
-//!   of timestamped `(K_i, N_i, lo, hi)` trajectories, exportable as CSV
-//!   or JSON.
+//! - [`timeline`] — the one progress-sampling thread, [`ProgressWatcher`]
+//!   (parks between samples, takes a final sample when stopped, joins on
+//!   drop), and a [`TimelineRecorder`] that samples a query's
+//!   [`ProgressTracker`](qprog_plan::ProgressTracker) — on a watcher or
+//!   inline — into a [`ProgressLog`] of timestamped `(K_i, N_i, lo, hi)`
+//!   trajectories, exportable as CSV or JSON. Each sample is one tracker
+//!   snapshot: the fraction is already clamped monotone and bracketed by
+//!   its bounds.
 //! - [`explain`] — an EXPLAIN ANALYZE renderer comparing actual
 //!   cardinalities against optimizer and online estimates (with q-errors,
 //!   `getnext()` counts, phase wall-times, and estimator attribution).
@@ -70,7 +73,7 @@ pub use explain::explain_analyze;
 pub use health::{HealthAnalyzer, HealthConfig};
 pub use metrics_sink::MetricsSink;
 pub use replay::ReplayedTrace;
-pub use scoring::{score_events, score_log, ProgressScore, QErrorSummary};
+pub use scoring::{score_events, ProgressScore, QErrorSummary};
 pub use sinks::{JsonlSink, RingSink, StderrSink, ValidatorSink};
 pub use spans::{LifecycleTotals, SpanNode, SpanTree, Track};
-pub use timeline::{ProgressLog, RecorderHandle, TimelinePoint, TimelineRecorder};
+pub use timeline::{ProgressLog, ProgressWatcher, TimelinePoint, TimelineRecorder};

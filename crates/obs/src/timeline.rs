@@ -1,8 +1,11 @@
-//! Progress timelines: periodic sampling of a running query's gnm state.
+//! Progress sampling: one watcher thread and the timelines it records.
 //!
-//! A [`TimelineRecorder`] polls a query's
-//! [`ProgressTracker`] — from the same thread
-//! between batches, or from a dedicated monitor thread via
+//! A [`ProgressWatcher`] is the one progress-sampling thread: it runs a
+//! sampling step every period, parks in between, is unparked on stop,
+//! takes a final sample when stopped, and joins on drop.
+//!
+//! A [`TimelineRecorder`] samples a query's [`ProgressTracker`] — from the
+//! same thread between batches, or on a watcher via
 //! [`TimelineRecorder::spawn`] — capturing a [`TimelinePoint`] per sample:
 //! the whole-query gnm fraction with its confidence bounds plus every
 //! operator's `(K_i, N_i, lo_i, hi_i)` trajectory. The finished
@@ -17,6 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qprog_core::gnm::PipelineState;
@@ -180,10 +184,6 @@ pub struct TimelineRecorder {
     log: ProgressLog,
     /// Last observed per-pipeline state, for start/finish event edges.
     pipeline_states: Vec<PipelineState>,
-    /// Running max of the published fraction: reported progress is clamped
-    /// monotone at this layer while the raw (possibly wobbling) estimates
-    /// stay visible in `EstimateRefined` events and per-op trajectories.
-    max_fraction: f64,
 }
 
 impl TimelineRecorder {
@@ -204,7 +204,6 @@ impl TimelineRecorder {
                 points: Vec::new(),
             },
             pipeline_states: Vec::new(),
-            max_fraction: 0.0,
         }
     }
 
@@ -219,9 +218,17 @@ impl TimelineRecorder {
 
     /// Take one sample now.
     pub fn sample(&mut self) {
+        let point = self.point();
+        self.log.points.push(point);
+    }
+
+    /// One sample: the tracker's snapshot (its fraction is already clamped
+    /// monotone and bracketed by its bounds) plus per-op state, publishing
+    /// pipeline edges and a `ProgressSampled` event when a bus is attached.
+    fn point(&mut self) -> TimelinePoint {
         let at_us = self.epoch.elapsed().as_micros() as u64;
         let snapshot = self.tracker.snapshot();
-        let (lo, hi) = self.tracker.fraction_bounds();
+        let (fraction, (lo, hi)) = (snapshot.fraction(), snapshot.bounds());
         let ops: Vec<OpPoint> = self
             .tracker
             .registry()
@@ -264,19 +271,6 @@ impl TimelineRecorder {
             }
         }
 
-        // Published progress is clamped to its running max: estimate
-        // refinements may shrink `ΣN_i` and wobble the raw fraction
-        // backwards, but a user-facing indicator must never retreat. The
-        // raw values stay in the trace via `EstimateRefined` / per-op
-        // trajectories.
-        let raw = snapshot.fraction();
-        if raw.is_finite() && raw > self.max_fraction {
-            self.max_fraction = raw;
-        }
-        let fraction = self.max_fraction;
-        // Keep the published interval consistent with the clamped point.
-        let hi = if hi.is_finite() { hi.max(fraction) } else { hi };
-
         // A sampled gnm snapshot in the trace itself makes the recorded
         // JSONL self-sufficient for post-hoc quality scoring (replay needs
         // no live tracker).
@@ -290,7 +284,7 @@ impl TimelineRecorder {
             });
         }
 
-        self.log.points.push(TimelinePoint {
+        TimelinePoint {
             at_us,
             fraction,
             lo,
@@ -298,12 +292,7 @@ impl TimelineRecorder {
             current: snapshot.current(),
             total: snapshot.total(),
             ops,
-        });
-    }
-
-    /// Whether the tracked query has finished (all pipelines complete).
-    pub fn is_complete(&self) -> bool {
-        self.tracker.snapshot().is_complete()
+        }
     }
 
     /// Finish recording and return the log.
@@ -316,68 +305,85 @@ impl TimelineRecorder {
         &self.log
     }
 
-    /// Spawn a monitor thread sampling every `cadence` until
-    /// [`RecorderHandle::finish`] is called (a final sample is always taken
-    /// at finish, so the terminal state is captured) or the handle is
-    /// dropped (which stops and joins the thread, discarding the log).
-    pub fn spawn(self, cadence: Duration) -> RecorderHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let mut recorder = self;
-        let join = std::thread::Builder::new()
-            .name("qprog-timeline".to_string())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    recorder.sample();
-                    // Sleep in short slices so a stop request (finish or
-                    // drop) is honored promptly even at long cadences.
-                    let mut remaining = cadence;
-                    while !stop2.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                        let slice = remaining.min(Duration::from_millis(5));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-                recorder.sample();
-                recorder
-            })
-            .expect("spawn timeline monitor thread");
-        RecorderHandle {
-            stop,
-            join: Some(join),
-        }
+    /// Sample every `cadence` on a [`ProgressWatcher`] until
+    /// [`finish`](ProgressWatcher::finish) returns the log (a final sample
+    /// is always taken then, so the terminal state is captured) or the
+    /// watcher is dropped (which stops and joins the thread, discarding the
+    /// log).
+    pub fn spawn(mut self, cadence: Duration) -> ProgressWatcher<ProgressLog> {
+        let log = std::mem::take(&mut self.log);
+        ProgressWatcher::spawn(cadence, log, move |log| {
+            log.points.push(self.point());
+            true
+        })
+        .expect("spawn timeline recorder thread")
     }
 }
 
-/// Handle to a recorder running on a monitor thread.
+/// The progress-sampling thread, with a bounded lifetime.
 ///
-/// The thread never outlives the handle: [`finish`](Self::finish) stops and
-/// joins it, returning the log, and dropping the handle without finishing
-/// does the same join (discarding the log) — no sampler is left spinning
-/// against a dead query.
-pub struct RecorderHandle {
+/// It calls its step every period, parking in between, until the step
+/// returns `false` (say, the query reached a terminal state) or the
+/// watcher is stopped. Stopping unparks the thread, which then takes one
+/// final sample — begun after the stop request, so it sees whatever state
+/// the caller observed before stopping — and exits. [`Drop`] stops and
+/// joins, so the thread never outlives its owner. The state `T` moves onto
+/// the thread and comes back from [`finish`](Self::finish).
+pub struct ProgressWatcher<T = ()> {
     stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<TimelineRecorder>>,
+    thread: Option<JoinHandle<T>>,
 }
 
-impl RecorderHandle {
-    /// Stop the monitor thread, take a final sample, and return the log.
-    pub fn finish(mut self) -> ProgressLog {
-        self.stop_and_join()
-            .map(TimelineRecorder::into_log)
-            .unwrap_or_default()
-    }
-
-    fn stop_and_join(&mut self) -> Option<TimelineRecorder> {
-        let join = self.join.take()?;
-        self.stop.store(true, Ordering::Relaxed);
-        join.join().ok()
+impl<T: Send + 'static> ProgressWatcher<T> {
+    /// Spawn the sampling thread over `state`, calling `step` on it every
+    /// `period` while `step` returns `true`. Fails only if the OS cannot
+    /// start a thread.
+    pub fn spawn(
+        period: Duration,
+        mut state: T,
+        mut step: impl FnMut(&mut T) -> bool + Send + 'static,
+    ) -> std::io::Result<Self> {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("qprog-progress".to_string())
+            .spawn(move || loop {
+                // Read the flag before sampling: once it is seen set, the
+                // sample that follows is the final one.
+                let last = stopping.load(Ordering::Acquire);
+                if !step(&mut state) || last {
+                    return state;
+                }
+                std::thread::park_timeout(period);
+            })?;
+        Ok(ProgressWatcher {
+            stop,
+            thread: Some(thread),
+        })
     }
 }
 
-impl Drop for RecorderHandle {
+impl<T> ProgressWatcher<T> {
+    /// Stop the thread, after its final sample, and return its state
+    /// (`None` once already stopped, or if the step panicked). Also runs
+    /// on drop.
+    pub fn stop(&mut self) -> Option<T> {
+        let thread = self.thread.take()?;
+        self.stop.store(true, Ordering::Release);
+        thread.thread().unpark();
+        thread.join().ok()
+    }
+
+    /// [`stop`](Self::stop) the thread and return its state.
+    pub fn finish(mut self) -> T {
+        self.stop()
+            .expect("progress watcher already stopped, or its step panicked")
+    }
+}
+
+impl<T> Drop for ProgressWatcher<T> {
     fn drop(&mut self) {
-        self.stop_and_join();
+        let _ = self.stop();
     }
 }
 
@@ -546,7 +552,7 @@ mod tests {
     #[test]
     fn dropping_the_handle_joins_the_sampler_thread_promptly() {
         // A long cadence would previously leave the thread asleep (and the
-        // recorder alive) long after the handle was gone; the chunked sleep
+        // recorder alive) long after the handle was gone; the unpark on stop
         // plus Drop-join must reclaim it in well under one cadence.
         let bus = EventBus::builder().build();
         let (tracker, _reg) = two_op_tracker();

@@ -115,13 +115,10 @@ pub struct CompiledQuery {
     /// Registry index of the plan-root operator. Usually `0` (registration
     /// is top-down), but a join chain at the root registers bottom-up.
     root_op: usize,
-    registry: MetricsRegistry,
-    pipelines: PipelineSet,
-    /// Compile-time optimizer estimates per operator (registry order).
-    initial_estimates: Vec<f64>,
-    /// Direct-input operator indices per operator, for future-pipeline
-    /// refinement.
-    op_inputs: Vec<Vec<usize>>,
+    /// The query's one progress tracker: it owns the registry, the
+    /// pipeline decomposition and the refinement structure, and every
+    /// [`tracker`](Self::tracker) handle is a clone sharing its clamp.
+    tracker: ProgressTracker,
     /// Which estimator drives each operator's `N_i` (registry order) —
     /// surfaced by EXPLAIN ANALYZE.
     estimator_labels: Vec<&'static str>,
@@ -145,22 +142,22 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Per-operator metrics in registration order.
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        self.tracker.registry()
     }
 
     /// The pipeline decomposition.
     pub fn pipelines(&self) -> &PipelineSet {
-        &self.pipelines
+        &self.tracker.pipelines
     }
 
     /// Compile-time optimizer estimates per operator (registry order).
     pub fn initial_estimates(&self) -> &[f64] {
-        &self.initial_estimates
+        &self.tracker.initial_estimates
     }
 
     /// Direct-input operator indices per operator (registry order).
     pub fn op_inputs(&self) -> &[Vec<usize>] {
-        &self.op_inputs
+        &self.tracker.op_inputs
     }
 
     /// Registry index of the plan-root operator (the top of the
@@ -226,7 +223,7 @@ impl CompiledQuery {
 
     /// The query's lifecycle governor (attached at compile time).
     pub fn governor(&self) -> Option<&Arc<Governor>> {
-        self.registry.governor()
+        self.registry().governor()
     }
 
     /// A cloneable token that cancels this query cooperatively; operators
@@ -251,10 +248,11 @@ impl CompiledQuery {
     }
 
     /// A cloneable, thread-safe progress tracker for this query, with
-    /// future-pipeline refinement wired in (§4.4).
+    /// future-pipeline refinement wired in (§4.4). Every handle is a clone
+    /// of the one tracker built at compile time, so all of them report one
+    /// non-decreasing series.
     pub fn tracker(&self) -> ProgressTracker {
-        ProgressTracker::new(self.registry.clone(), self.pipelines.clone())
-            .with_refinement(self.initial_estimates.clone(), self.op_inputs.clone())
+        self.tracker.clone()
     }
 
     /// Run to completion, collecting all output rows. On failure —
@@ -272,7 +270,7 @@ impl CompiledQuery {
         // The root is exhausted: operators abandoned by early termination
         // (LIMIT) will never run again — pin their totals so progress
         // reads 1.0 and monitors observe completion.
-        self.registry.finish_all();
+        self.registry().finish_all();
         self.rows_emitted += rows.len() as u64;
         self.publish_query_finished();
         Ok(rows)
@@ -295,7 +293,7 @@ impl CompiledQuery {
                 return Err(e);
             }
         };
-        self.registry.finish_all();
+        self.registry().finish_all();
         self.rows_emitted += rows.len() as u64;
         self.publish_query_finished();
         observer(&tracker.snapshot());
@@ -320,7 +318,7 @@ impl CompiledQuery {
                 return Ok(Some(row));
             }
             if self.step_exhausted {
-                self.registry.finish_all();
+                self.registry().finish_all();
                 self.publish_query_finished();
                 return Ok(None);
             }
@@ -377,10 +375,8 @@ pub fn compile_traced(
     Ok(CompiledQuery {
         root,
         root_op,
-        registry: c.registry,
-        pipelines: c.pipelines,
-        initial_estimates: c.initial_estimates,
-        op_inputs: c.op_inputs,
+        tracker: ProgressTracker::new(c.registry, c.pipelines)
+            .with_refinement(c.initial_estimates, c.op_inputs),
         estimator_labels: c.estimator_labels,
         bus,
         rows_emitted: 0,
@@ -1127,6 +1123,29 @@ mod tests {
         assert_eq!(q.pipelines().len(), 3);
         let tracker = q.tracker();
         assert_eq!(tracker.fraction(), 0.0);
+    }
+
+    #[test]
+    fn tracker_handles_report_one_non_decreasing_series() {
+        let b = PlanBuilder::new(catalog());
+        let plan = two_join_plan(&b);
+        let mut q = compile(&plan, &PhysicalOptions::default()).unwrap();
+        let (first, second) = (q.tracker(), q.tracker());
+        assert!(q.step().unwrap().is_some());
+        let before = first.fraction();
+        assert!(before > 0.0);
+        // An upward N_i revision lowers the raw ratio; the other handle
+        // still reports the fraction the first one already published.
+        let root = q.registry().get(0).unwrap();
+        root.set_estimated_total(root.estimated_total() * 100.0);
+        assert!(second.snapshot().raw_fraction() < before);
+        assert_eq!(second.fraction(), before);
+        let mut series = vec![before];
+        while q.step().unwrap().is_some() {
+            series.push(second.fraction());
+            series.push(first.fraction());
+        }
+        assert!(series.windows(2).all(|w| w[0] <= w[1]), "{series:?}");
     }
 
     #[test]

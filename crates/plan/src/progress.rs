@@ -1,5 +1,8 @@
 //! The live progress tracker bridging operator metrics to the gnm model.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use qprog_core::gnm::{PipelineProgress, PipelineState, ProgressSnapshot};
 use qprog_exec::metrics::MetricsRegistry;
 
@@ -18,18 +21,18 @@ use crate::pipeline::PipelineSet;
 #[derive(Debug, Clone)]
 pub struct ProgressTracker {
     registry: MetricsRegistry,
-    pipelines: PipelineSet,
+    pub(crate) pipelines: PipelineSet,
     /// Optimizer estimates frozen at compile time, per registry index.
-    initial_estimates: Vec<f64>,
+    pub(crate) initial_estimates: Vec<f64>,
     /// Direct input operators (registry indices), per registry index.
-    op_inputs: Vec<Vec<usize>>,
+    pub(crate) op_inputs: Vec<Vec<usize>>,
     /// Highest fraction any snapshot of this query has reported, as f64
     /// bits (non-negative floats order identically as u64 bits). Shared
     /// across clones so every watcher sees one monotone series: batch
     /// execution advances `K_i` and publishes `N_i` in separate atomic
     /// writes, and a sampler landing between them would otherwise see the
     /// ratio dip.
-    high_water: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    high_water: Arc<AtomicU64>,
 }
 
 impl ProgressTracker {
@@ -43,7 +46,7 @@ impl ProgressTracker {
             pipelines,
             initial_estimates: Vec::new(),
             op_inputs: vec![Vec::new(); n],
-            high_water: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            high_water: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -101,8 +104,10 @@ impl ProgressTracker {
         value
     }
 
-    /// Point-in-time gnm snapshot (with refinement applied to pending
-    /// pipelines).
+    /// Point-in-time gnm snapshot: one refinement pass (applied to pending
+    /// pipelines) yields both the fraction and its confidence bounds. The
+    /// fraction is clamped to the highest one any clone of this tracker
+    /// has reported, and the bounds are widened to contain it.
     pub fn snapshot(&self) -> ProgressSnapshot {
         let refined = self.refined_estimates();
         let pipelines = self
@@ -125,20 +130,19 @@ impl ProgressTracker {
                     all_finished &= m.is_finished();
                     any_activity |= m.emitted() > 0 || m.driver_consumed() > 0 || m.is_finished();
                 }
-                let state = if all_finished {
-                    PipelineState::Finished
+                let (state, total_estimate) = if all_finished {
+                    (PipelineState::Finished, done as f64)
                 } else if any_activity {
-                    PipelineState::Running
+                    (PipelineState::Running, total)
                 } else {
-                    PipelineState::Pending
+                    (PipelineState::Pending, total)
                 };
-                let mut p = match state {
-                    PipelineState::Finished => PipelineProgress::finished(id, done),
-                    PipelineState::Running => PipelineProgress::running(id, done, total),
-                    PipelineState::Pending => PipelineProgress::pending(id, total),
-                };
-                p.done = done;
-                p
+                PipelineProgress {
+                    id,
+                    state,
+                    done,
+                    total_estimate,
+                }
             })
             .collect();
         let snap = ProgressSnapshot::new(pipelines);
@@ -146,10 +150,10 @@ impl ProgressTracker {
         // never report below it. Non-negative f64 bit patterns compare
         // identically as integers, so fetch_max on the bits suffices.
         let bits = snap.raw_fraction().to_bits();
-        let prev = self
-            .high_water
-            .fetch_max(bits, std::sync::atomic::Ordering::AcqRel);
-        snap.with_floor(f64::from_bits(prev.max(bits)))
+        let prev = self.high_water.fetch_max(bits, Ordering::AcqRel);
+        let fraction = f64::from_bits(prev.max(bits));
+        let (lo, hi) = self.bounds(&refined);
+        snap.publish(fraction, (lo.min(fraction), hi.max(fraction)))
     }
 
     /// Convenience: the gnm progress fraction right now.
@@ -157,27 +161,27 @@ impl ProgressTracker {
         self.snapshot().fraction()
     }
 
-    /// Confidence bounds on the progress fraction: operators that publish
-    /// estimate intervals (the `once` estimators do, per §4.1's guarantees)
-    /// contribute their bounds to `T(Q)`; others contribute their refined
-    /// point estimate. Returns `(lo, hi)` with `lo ≤ fraction ≤ hi`.
-    pub fn fraction_bounds(&self) -> (f64, f64) {
-        let refined = self.refined_estimates();
+    /// Raise this tracker's high-water mark to `previous`'s, so a retry
+    /// attempt's progress resumes where the previous attempt's stopped
+    /// instead of dropping back.
+    pub fn carry_floor(&self, previous: &ProgressTracker) {
+        let floor = previous.high_water.load(Ordering::Acquire);
+        self.high_water.fetch_max(floor, Ordering::AcqRel);
+    }
+
+    /// Raw confidence bounds on the progress fraction: operators that
+    /// publish estimate intervals (the `once` estimators do, per §4.1's
+    /// guarantees) contribute their bounds to `T(Q)`; others contribute
+    /// their `refined` point estimate.
+    fn bounds(&self, refined: &[f64]) -> (f64, f64) {
         let mut current: u64 = 0;
         let mut total_lo = 0.0f64;
         let mut total_hi = 0.0f64;
         for (i, (_, m)) in self.registry.iter().enumerate() {
             current += m.emitted();
-            match m.estimated_bounds() {
-                Some((lo, hi)) => {
-                    total_lo += lo;
-                    total_hi += hi;
-                }
-                None => {
-                    total_lo += refined[i];
-                    total_hi += refined[i];
-                }
-            }
+            let (lo, hi) = m.estimated_bounds().unwrap_or((refined[i], refined[i]));
+            total_lo += lo;
+            total_hi += hi;
         }
         let frac = |total: f64| {
             if total <= 0.0 {
@@ -290,15 +294,49 @@ mod tests {
         }
         a.set_estimated_total(100.0);
         a.set_estimated_bounds(80.0, 120.0);
-        let (lo, hi) = tracker.fraction_bounds();
-        let point = tracker.fraction();
+        let snap = tracker.snapshot();
+        let (lo, hi) = snap.bounds();
+        let point = snap.fraction();
         assert!(lo <= point && point <= hi, "{lo} ≤ {point} ≤ {hi}");
         assert!((lo - 40.0 / 120.0).abs() < 1e-9);
         assert!((hi - 40.0 / 80.0).abs() < 1e-9);
         // once finished, bounds collapse
         a.mark_finished();
-        let (lo, hi) = tracker.fraction_bounds();
+        let (lo, hi) = tracker.snapshot().bounds();
         assert_eq!((lo, hi), (1.0, 1.0));
+    }
+
+    #[test]
+    fn bounds_bracket_the_clamped_fraction_after_an_upward_revision() {
+        let mut reg = MetricsRegistry::new();
+        let a = reg.register("join", 100.0);
+        let mut pipes = PipelineSet::new();
+        let p = pipes.new_pipeline();
+        pipes.assign(p, 0);
+        let tracker = ProgressTracker::new(reg, pipes);
+        for _ in 0..40 {
+            a.record_emitted();
+        }
+        a.set_estimated_total(100.0);
+        a.set_estimated_bounds(80.0, 120.0);
+        let before = tracker.snapshot().fraction();
+        // N_i and its interval jump: the raw ratio and both raw bounds drop
+        // below the fraction already reported.
+        a.set_estimated_total(1000.0);
+        a.set_estimated_bounds(800.0, 1200.0);
+        let snap = tracker.snapshot();
+        assert!(
+            snap.raw_fraction() < before,
+            "premise: the raw ratio dipped"
+        );
+        let (lo, hi) = snap.bounds();
+        assert_eq!(snap.fraction(), before);
+        assert!(
+            lo <= snap.fraction() && snap.fraction() <= hi,
+            "{lo} ≤ {before} ≤ {hi}"
+        );
+        assert!((lo - 40.0 / 1200.0).abs() < 1e-9, "lo stays the raw bound");
+        assert_eq!(hi, before, "hi is raised to the clamped fraction");
     }
 
     #[test]

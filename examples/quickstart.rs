@@ -31,27 +31,23 @@ fn main() -> QResult<()> {
     let mut query = session.query(sql)?;
     println!("plan:\n{}", query.explain());
 
-    // 4. Run it with a concurrent monitor: the tracker is cloneable and
+    // 4. Run it with a concurrent watcher: the tracker is cloneable and
     //    lock-free to read, so progress is visible even while blocking
-    //    operators (hash build, aggregation) are mid-phase.
-    let tracker = query.tracker();
-    let monitor = std::thread::spawn(move || loop {
-        let snapshot = tracker.snapshot();
+    //    operators (hash build, aggregation) are mid-phase. The watcher
+    //    exits when the query ends; dropping it takes a final sample.
+    let watcher = query.watch(std::time::Duration::from_millis(50), |snapshot| {
         println!(
             "progress {:5.1}%  (getnext so far: {}, estimated total: {:.0})",
             snapshot.fraction() * 100.0,
             snapshot.current(),
             snapshot.total()
         );
-        if snapshot.is_complete() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
     });
     // `RunOptions` also composes an in-thread observer callback, a wall-clock
     // deadline, and an external cancellation token when you need them.
-    let rows = query.run(RunOptions::new())?;
-    monitor.join().expect("monitor thread");
+    let rows = query.run(RunOptions::new());
+    drop(watcher);
+    let rows = rows?;
 
     println!("\ntop nations by customers:");
     for row in &rows {

@@ -91,12 +91,9 @@ fn main() -> QResult<()> {
             continue;
         }
 
-        let tracker = query.tracker();
         let started = Instant::now();
-        let monitor = std::thread::spawn(move || loop {
-            let snap = tracker.snapshot();
-            let (lo, hi) = tracker.fraction_bounds();
-            let frac = snap.fraction();
+        let watcher = query.watch(Duration::from_millis(25), |snap| {
+            let (frac, (lo, hi)) = (snap.fraction(), snap.bounds());
             let filled = (frac * 30.0) as usize;
             eprint!(
                 "\r[{}{}] {:5.1}%  (bounds {:.1}–{:.1}%)   ",
@@ -109,13 +106,14 @@ fn main() -> QResult<()> {
             std::io::stderr().flush().ok();
             if snap.is_complete() {
                 eprintln!();
-                break;
             }
-            std::thread::sleep(Duration::from_millis(25));
         });
-        match query.collect() {
+        let result = query.collect();
+        // The watcher exits on its own once the query completes; a failed
+        // query never completes, so stopping it here is what ends its loop.
+        drop(watcher);
+        match result {
             Ok(rows) => {
-                monitor.join().ok();
                 let shown = rows.len().min(20);
                 for row in &rows[..shown] {
                     println!("{row}");
@@ -130,10 +128,7 @@ fn main() -> QResult<()> {
                     mode.label()
                 );
             }
-            Err(e) => {
-                monitor.join().ok();
-                eprintln!("error: {e}");
-            }
+            Err(e) => eprintln!("\nerror: {e}"),
         }
     }
     Ok(())

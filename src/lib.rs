@@ -63,18 +63,15 @@ mod session;
 pub mod workloads;
 
 pub use qprog_fault as fault;
+pub use qprog_obs::ProgressWatcher;
 pub use qprog_service as svc;
 pub use service::ServiceRuntime;
-pub use session::{
-    Observability, ProgressWatcher, QueryHandle, RunOptions, Session, SessionBuilder,
-};
+pub use session::{Observability, QueryHandle, RunOptions, Session, SessionBuilder};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::service::ServiceRuntime;
-    pub use crate::session::{
-        Observability, ProgressWatcher, QueryHandle, RunOptions, Session, SessionBuilder,
-    };
+    pub use crate::session::{Observability, QueryHandle, RunOptions, Session, SessionBuilder};
     pub use qprog_core::gnm::ProgressSnapshot;
     pub use qprog_core::EstimationMode;
     pub use qprog_exec::governor::{Budgets, CancellationToken, Governor};
@@ -86,8 +83,8 @@ pub mod prelude {
     pub use qprog_monitor::{MonitorServer, StreamHub, StreamNext};
     pub use qprog_obs::{
         explain_analyze, ArchivedRun, Corpus, CorpusConfig, HealthAnalyzer, HealthConfig,
-        JsonlSink, MetricsSink, ProgressLog, RegressionConfig, RingSink, RunMeta, RunRecord,
-        StderrSink, TimelineRecorder, ValidatorSink,
+        JsonlSink, MetricsSink, ProgressLog, ProgressWatcher, RegressionConfig, RingSink, RunMeta,
+        RunRecord, StderrSink, TimelineRecorder, ValidatorSink,
     };
     pub use qprog_plan::builder::PlanBuilder;
     pub use qprog_plan::physical::PhysicalOptions;

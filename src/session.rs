@@ -1,6 +1,5 @@
 //! High-level session API: SQL in, rows + live progress out.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,7 +10,8 @@ use qprog_exec::trace::{EventBus, Lifecycle, TraceEvent, TraceSink};
 use qprog_metrics::Registry;
 use qprog_monitor::{MonitorServer, MonitoredQuery, PhaseSink};
 use qprog_obs::{
-    ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, RunMeta,
+    ArchivedRun, Corpus, CorpusSink, HealthAnalyzer, HealthConfig, MetricsSink, ProgressWatcher,
+    RunMeta,
 };
 use qprog_plan::physical::{compile_traced, CompiledQuery, PhysicalOptions};
 use qprog_plan::{LogicalPlan, PlanBuilder, ProgressTracker};
@@ -687,15 +687,21 @@ impl QueryHandle {
     pub fn watch(
         &self,
         period: Duration,
-        f: impl FnMut(&ProgressSnapshot) + Send + 'static,
+        mut f: impl FnMut(&ProgressSnapshot) + Send + 'static,
     ) -> ProgressWatcher {
-        ProgressWatcher::spawn(
-            self.compiled.tracker(),
-            self.phases.clone(),
-            self.cancellation_token(),
-            period,
-            f,
-        )
+        let tracker = self.compiled.tracker();
+        let phases = self.phases.clone();
+        let token = self.cancellation_token();
+        ProgressWatcher::spawn(period, (), move |_| {
+            let snap = tracker.snapshot();
+            f(&snap);
+            let failed = phases
+                .as_deref()
+                .is_some_and(|p| p.abort_reason().is_some());
+            let cancelled = token.as_ref().is_some_and(|t| t.is_cancelled());
+            !(snap.is_complete() || failed || cancelled)
+        })
+        .expect("spawn progress watcher thread")
     }
 
     /// The compiled query's per-operator metrics.
@@ -715,75 +721,6 @@ impl QueryHandle {
     /// counts. Call after the query has run to completion.
     pub fn explain_analyze(&self, events: &[TraceEvent]) -> String {
         qprog_obs::explain_analyze(&self.compiled, events)
-    }
-}
-
-/// A progress-sampling thread with a bounded lifetime.
-///
-/// Earlier revisions open-coded watcher loops that spun until
-/// `snapshot().is_complete()` — a query that failed or was cancelled never
-/// completes, so the watcher leaked. This watcher exits as soon as the
-/// query reaches *any* terminal state (done, failed, cancelled) or when
-/// explicitly stopped, and [`Drop`] joins the thread so it can never
-/// outlive its owner.
-pub struct ProgressWatcher {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ProgressWatcher {
-    fn spawn(
-        tracker: ProgressTracker,
-        phases: Option<Arc<PhaseSink>>,
-        token: Option<CancellationToken>,
-        period: Duration,
-        mut f: impl FnMut(&ProgressSnapshot) + Send + 'static,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("qprog-progress-watch".to_string())
-            .spawn(move || loop {
-                let snap = tracker.snapshot();
-                f(&snap);
-                let failed = phases
-                    .as_deref()
-                    .is_some_and(|p| p.abort_reason().is_some());
-                let cancelled = token.as_ref().is_some_and(|t| t.is_cancelled());
-                if snap.is_complete() || failed || cancelled || stop2.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::park_timeout(period);
-            })
-            .expect("spawn progress watcher thread");
-        ProgressWatcher {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Signal the watcher to exit and join it. Idempotent; also runs on
-    /// drop.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ProgressWatcher {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl std::fmt::Debug for ProgressWatcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressWatcher")
-            .field("stopped", &self.stop.load(Ordering::Relaxed))
-            .finish()
     }
 }
 

@@ -28,13 +28,18 @@ fn catalog() -> Catalog {
     c
 }
 
-/// Current thread count of this process (Linux; `None` elsewhere).
+/// Live library threads of this process (Linux; `None` elsewhere). Every
+/// thread the library spawns is named `qprog-…`; counting only those keeps
+/// the test harness's own threads (other tests starting and ending
+/// concurrently) out of the measurement.
 fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("qprog-"))
+            .count(),
+    )
 }
 
 /// The failpoint registry is process-global, so with `failpoints` enabled
